@@ -2,12 +2,16 @@
 
 Subcommands:
   model     print a camera model's invariants and generators
-  distort   distortion ideal generators for an ideal from a file
+  distort   distortion ideal generators for a model or file ideal
   degree    distortion degree (or bound) of a model or file ideal
   cayley    multi-parameter Cayley data for a configuration
   solve     run the f+E+lambda minimal solver on correspondences
-  template  build, validate and serialize the elimination template
+  template  build and validate the elimination template (a self-check)
   simulate  Monte Carlo experiment over synthetic scenes
+
+Each subcommand takes only the flags it reads: --prime (the working
+prime field) for model, distort and degree; --max-pairs (the Buchberger
+pair budget) for distort and degree; --seed for simulate; --json for all.
 
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
@@ -21,16 +25,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .polycore import GF, default_names, format_polynomial, parse_polynomial
+from .polycore import (DEFAULT_PRIME, GF, default_names, format_polynomial,
+                       parse_polynomial)
 from .groebner import BudgetError, DEFAULT_MAX_PAIRS, Ideal
 from .geometry import (DistortionVector, cayley_ideal, cayley_parametrization,
                        degree_bound, distortion_degree,
                        distortion_ideal_generators, iterated_decomposition)
 from .models import (MODEL_DIM_DEGREE, ModelId, VAR_NAMES, model_config,
                      model_ideal)
-from .solver import (Correspondence, DegenerateDataError, EliminationTemplate,
-                     TEMPLATE_VERSION, TemplateError, build_template,
-                     count_real, solve)
+from .solver import (Correspondence, DegenerateDataError, TemplateError,
+                     build_template, count_real, solve)
 from .simulate import SceneConfig, run_experiment
 
 DEFAULT_SEED = 0
@@ -121,7 +125,7 @@ def cmd_degree(args) -> dict:
     report = {"u": list(u.entries)}
     if args.bound:
         from .groebner import dim_degree
-        dim, deg = dim_degree(ideal)
+        dim, deg = dim_degree(ideal, max_pairs=args.max_pairs)
         codim = ideal.nvars - 1 - dim
         report["bound"] = degree_bound(deg, codim, u)
     else:
@@ -162,9 +166,7 @@ def _load_correspondences(path: str) -> list[Correspondence]:
 
 def cmd_solve(args) -> dict:
     corrs = _load_correspondences(args.corrs)
-    tmpl = (EliminationTemplate.from_json(open(args.template).read())
-            if args.template else build_template())
-    cands = solve(corrs, tmpl)
+    cands = solve(corrs, build_template())
     n_real, n_f = count_real(cands)
     out = []
     for c in cands:
@@ -180,14 +182,9 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_template(args) -> dict:
-    tmpl = build_template(validate=not args.no_validate, prune=args.prune,
-                          prime=args.prime, seed=args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(tmpl.to_json())
-    return {"version": tmpl.version, "rows": tmpl.n_rows,
-            "cols": tmpl.n_cols, "basis_size": len(tmpl.basis),
-            "out": args.out}
+    tmpl = build_template()
+    return {"rows": tmpl.n_rows, "cols": tmpl.n_cols,
+            "basis_size": len(tmpl.basis)}
 
 
 def cmd_simulate(args) -> dict:
@@ -206,67 +203,51 @@ def cmd_simulate(args) -> dict:
 # dispatcher
 # ---------------------------------------------------------------------------
 
-def _add_common(p, model=False, ideal=False):
-    p.add_argument("--prime", type=int, default=30011)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS)
-    if model:
-        p.add_argument("--model",
-                       choices=[m.value for m in ModelId], default=None)
-        p.add_argument("--config", default=None)
-    if ideal:
-        p.add_argument("--ideal", default=None)
-        p.add_argument("--u", default=None)
+#: flags shared by several subcommands
+_SHARED_FLAGS = {
+    "--prime": dict(type=int, default=DEFAULT_PRIME),
+    "--max-pairs": dict(type=int, default=DEFAULT_MAX_PAIRS),
+    "--model": dict(choices=[m.value for m in ModelId], default=None),
+    "--config": dict(default=None),
+    "--ideal": dict(default=None),
+    "--u": dict(default=None),
+    "--gens": dict(action="store_true"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="distvar", description=__doc__)
     ap.add_argument("--version", action="version",
-                    version=f"distvar {__version__} (template {TEMPLATE_VERSION})")
+                    version=f"distvar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("model", help="camera model info")
-    _add_common(p, model=True)
-    p.set_defaults(fn=cmd_model)
+    def command(name, fn, summary, *flags):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--json", action="store_true")
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("distort", help="distortion ideal generators")
-    _add_common(p, model=True, ideal=True)
-    p.add_argument("--gens", action="store_true")
-    p.set_defaults(fn=cmd_distort)
-
-    p = sub.add_parser("degree", help="distortion degree or bound")
-    _add_common(p, model=True, ideal=True)
+    source = ("--model", "--config", "--ideal", "--u", "--prime", "--max-pairs")
+    command("model", cmd_model, "camera model info", "--model", "--prime")
+    command("distort", cmd_distort, "distortion ideal generators",
+            *source, "--gens")
+    p = command("degree", cmd_degree, "distortion degree or bound", *source)
     p.add_argument("--bound", action="store_true")
-    p.set_defaults(fn=cmd_degree)
-
-    p = sub.add_parser("cayley", help="multi-parameter Cayley data")
-    _add_common(p, model=True)
-    p.add_argument("--gens", action="store_true")
-    p.set_defaults(fn=cmd_cayley)
-
-    p = sub.add_parser("solve", help="run the minimal solver")
-    _add_common(p)
+    command("cayley", cmd_cayley, "multi-parameter Cayley data",
+            "--model", "--config", "--gens")
+    p = command("solve", cmd_solve, "run the minimal solver")
     p.add_argument("--corrs", required=True)
-    p.add_argument("--template", default=None)
-    p.set_defaults(fn=cmd_solve)
-
-    p = sub.add_parser("template", help="build the elimination template")
-    _add_common(p)
-    p.add_argument("--out", default=None)
-    p.add_argument("--prune", action="store_true")
-    p.add_argument("--no-validate", action="store_true")
-    p.set_defaults(fn=cmd_template)
-
-    p = sub.add_parser("simulate", help="Monte Carlo experiment")
-    _add_common(p)
+    command("template", cmd_template, "build and validate the template")
+    p = command("simulate", cmd_simulate, "Monte Carlo experiment")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--trials", type=int, default=20000)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--motion", choices=["generic", "sideways"],
                    default="generic")
     p.add_argument("--out", default=None)
     p.add_argument("--csv", default=None)
-    p.set_defaults(fn=cmd_simulate)
     return ap
 
 

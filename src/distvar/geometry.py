@@ -18,7 +18,6 @@ leading terms are exactly the non-standard quadratic monomials.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .polycore import (
@@ -297,54 +296,6 @@ def tropical_hypersurface_degree(psi: Polynomial, u) -> int:
         raise ValueError("hypersurface equation must be homogeneous")
     d = psi.total_degree()
     return d * u.total - min_weight(psi, u)
-
-
-def bound_attained(I: Ideal, u, seed: int = 0, retries: int = 3) -> bool:
-    """Whether deg(X_[u]) equals the upper degree bound.
-
-    Equivalent to V(L_u) meeting X in no point, where L_u consists of
-    the coordinates above the critical block (in the sorted coordinate
-    order) plus generic linear forms inside it.  Uses random
-    coefficients; a nonempty intersection is accepted only after
-    ``retries`` independent draws agree.
-    """
-    u = DistortionVector.of(u)
-    n = u.n
-    if I.nvars != n + 1:
-        raise ValueError("distortion vector length does not match the ring")
-    dim_x, _ = dim_degree(I)
-    c = n - dim_x
-    if c == 0:
-        return True
-    # sort coordinates so u is ascending, permuting the ideal to match
-    perm = sorted(range(n + 1), key=lambda j: (u.entries[j], j))
-    su = [u.entries[j] for j in perm]
-    inv = [0] * (n + 1)
-    for new, old in enumerate(perm):
-        inv[old] = new
-    gens = [g.extend_ring(n + 1, inv) for g in I.generators]
-    c_minus = min(j for j in range(n + 1) if su[j] == su[c])
-    c_plus = max(j for j in range(n + 1) if su[j] == su[c])
-    dom = I.domain
-    rng = random.Random(seed)
-
-    def coeff():
-        if hasattr(dom, "p"):
-            return rng.randrange(1, dom.p)
-        return rng.randrange(1, 10**6)
-
-    for _ in range(retries):
-        lin = [Polynomial.variable(j, n + 1, dom) for j in range(c_plus + 1, n + 1)]
-        for _ in range(c_plus - c + 1):
-            f = Polynomial.zero(n + 1, dom)
-            for j in range(c_minus, c_plus + 1):
-                f = f + Polynomial.variable(j, n + 1, dom).scale(coeff())
-            lin.append(f)
-        J = Ideal(gens + lin, n + 1, dom)
-        dim_j, _ = dim_degree(J)
-        if dim_j == -1:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,11 @@ def buchberger(I: Ideal, order: TermOrder = GREVLEX,
 
 
 def _reduce_basis(basis, lms, n, dom, order, keyf) -> GroebnerBasis:
-    # minimalize: drop elements whose lm is divisible by another lm
-    idx = sorted(range(len(basis)), key=lambda i: keyf(lms[i]))
+    # minimalize: drop elements whose lm is divisible by another lm.  Sort
+    # by degree first: under a non-global order (weighted(-u)) a divisor
+    # can follow its multiple in term order, never in degree.
+    idx = sorted(range(len(basis)),
+                 key=lambda i: (mono_degree(lms[i]), keyf(lms[i])))
     minimal: list[int] = []
     for i in idx:
         if not any(mono_divides(lms[j], lms[i]) for j in minimal):

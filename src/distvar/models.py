@@ -224,13 +224,17 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def focal_from_matrix(X, tol: float = 1e-12) -> float:
+#: relative size below which the focal formula's denominator counts as zero
+FOCAL_TOL = 1e-12
+
+
+def focal_from_matrix(X) -> float:
     """Squared focal length of the left camera from x = diag(1/f,1/f,1) E.
 
     Both numerator and denominator are cubic in the entries, so the
     result is invariant under rescaling of X, and f is determined up
     to sign.  Raises ZeroDivisionError when the denominator is smaller
-    than ``tol`` relative to the matrix scale.
+    than FOCAL_TOL relative to the matrix scale.
     """
     x = np.asarray(X, dtype=float)
     (x11, x12, x13), (x21, x22, x23), (x31, x32, x33) = x
@@ -240,7 +244,7 @@ def focal_from_matrix(X, tol: float = 1e-12) -> float:
            - x11 ** 2 * x23 - x12 ** 2 * x23 + x13 ** 2 * x23
            + x21 ** 2 * x23 + x22 ** 2 * x23 + x23 ** 3)
     scale = np.abs(x).max()
-    if abs(den) <= tol * scale ** 3:
+    if abs(den) <= FOCAL_TOL * scale ** 3:
         raise ZeroDivisionError("focal length formula is degenerate here")
     return num / den
 

@@ -25,6 +25,10 @@ from .models import essential_matrix
 
 N_SOLUTIONS = 23
 
+#: scene points drawn per trial before giving up on finding seven that
+#: both cameras see
+MAX_RESAMPLE = 200
+
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -204,8 +208,7 @@ def _camera_pair(cfg: SceneConfig, rng: np.random.Generator):
     return (R1, c1), (R2, c2)
 
 
-def generate_trial(cfg: SceneConfig, trial_index: int,
-                   max_resample: int = 200):
+def generate_trial(cfg: SceneConfig, trial_index: int):
     """Seven correspondences and the ground truth for one trial.
 
     The right camera (division distortion, f = 1) fills the U1 slot of
@@ -221,7 +224,7 @@ def generate_trial(cfg: SceneConfig, trial_index: int,
     attempts = 0
     while len(corrs) < 7:
         attempts += 1
-        if attempts > max_resample:
+        if attempts > MAX_RESAMPLE:
             raise DegenerateDataError("could not sample visible scene points")
         P = rng.uniform(-cfg.cube_half_width, cfg.cube_half_width, size=3)
         y1 = R1 @ (P - c1)
@@ -290,8 +293,7 @@ def run_trial(cfg: SceneConfig, trial_index: int,
 
 
 def run_experiment(cfg: SceneConfig,
-                   tmpl: EliminationTemplate | None = None,
-                   progress=None) -> ExperimentStats:
+                   tmpl: EliminationTemplate | None = None) -> ExperimentStats:
     if tmpl is None:
         tmpl = build_template()
     stats = ExperimentStats(cfg)
@@ -308,7 +310,5 @@ def run_experiment(cfg: SceneConfig,
             stats.log10_err_lambda.append(res.log10_err_lambda)
         if math.isfinite(res.log10_err_f):
             stats.log10_err_f.append(res.log10_err_f)
-        if progress is not None and (trial + 1) % 1000 == 0:
-            progress(trial + 1, cfg.n_trials)
     stats.runtime_seconds = time.time() - t0
     return stats

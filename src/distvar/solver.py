@@ -23,14 +23,11 @@ candidates from its eigenvectors).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .polycore import GF, Polynomial, _grevlex_key
-
-TEMPLATE_VERSION = "1"
 
 #: quotient-basis monomials (exponents in gamma_1..gamma_4), fixed order
 BASIS_MONOMIALS = (
@@ -51,6 +48,19 @@ GENERATOR_DEGREES = (2, 2, 2, 3, 3, 4, 4, 4, 4, 4)
 
 _MINOR_TRIPLES = ((0, 1, 4), (0, 1, 3),
                   (0, 1, 2), (0, 2, 3), (1, 2, 3), (0, 2, 4), (1, 2, 4))
+
+#: the template is validated over F_p for this prime, on up to
+#: VALIDATION_ATTEMPTS random instances drawn from VALIDATION_SEED
+VALIDATION_PRIME = 30011
+VALIDATION_SEED = 7
+VALIDATION_ATTEMPTS = 3
+
+#: relative tolerances: smallest kept singular value of the 7x12 system,
+#: smallest pivot in the elimination, largest imaginary part of a real
+#: candidate
+RANK_TOL = 1e-8
+PIVOT_TOL = 1e-12
+REAL_TOL = 1e-6
 
 
 class DegenerateDataError(RuntimeError):
@@ -88,10 +98,13 @@ def coefficient_matrix(corrs) -> np.ndarray:
     C = np.array([epipolar_coefficients(p) for p in corrs])
     if C.shape != (7, 12):
         raise DegenerateDataError(f"expected 7 correspondences, got {C.shape[0]}")
+    # the SVD does not return on an infinite entry
+    if not np.isfinite(C).all():
+        raise DegenerateDataError("correspondences have non-finite coordinates")
     return C
 
 
-def nullspace_basis(C: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
+def nullspace_basis(C: np.ndarray) -> np.ndarray:
     """12x5 orthonormal kernel basis of the 7x12 coefficient matrix.
 
     Column 4 (the affine pivot n_5) is the kernel vector with the
@@ -100,7 +113,7 @@ def nullspace_basis(C: np.ndarray, rank_tol: float = 1e-8) -> np.ndarray:
     """
     C = np.asarray(C, dtype=float)
     _, s, vt = np.linalg.svd(C)
-    if s[6] <= rank_tol * s[0]:
+    if s[6] <= RANK_TOL * s[0]:
         raise DegenerateDataError("correspondence matrix is rank deficient")
     N = vt[7:].T  # 12 x 5
     pivot = int(np.argmax(np.abs(N[10])))
@@ -222,7 +235,6 @@ class EliminationTemplate:
 
     columns: tuple[tuple[int, ...], ...]
     schedule: tuple[tuple[tuple[int, ...], ...], ...]
-    version: str = TEMPLATE_VERSION
     # caches built in __post_init__
     col_maps: list = field(default_factory=list, repr=False)
     interp_points: np.ndarray = field(default=None, repr=False)
@@ -286,28 +298,6 @@ class EliminationTemplate:
                 if col_index[shifted] >= nb:
                     raise TemplateError("shifted basis monomial is not a pivot column")
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": self.version,
-            "columns": [list(e) for e in self.columns],
-            "schedule": [[list(e) for e in s] for s in self.schedule],
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "EliminationTemplate":
-        data = json.loads(text)
-        if data.get("version") != TEMPLATE_VERSION:
-            raise TemplateError(
-                f"unsupported template version {data.get('version')!r}"
-                f" (expected {TEMPLATE_VERSION})")
-        return cls(
-            columns=tuple(tuple(e) for e in data["columns"]),
-            schedule=tuple(tuple(tuple(e) for e in s) for s in data["schedule"]),
-            version=data["version"],
-        )
-
 
 def _default_columns():
     all5 = monomials_up_to(5)
@@ -364,16 +354,15 @@ def _modular_rref_pivots(A: np.ndarray, p: int, ncols: int) -> list[int]:
     return pivots
 
 
-def validate_template(tmpl: EliminationTemplate, prime: int = 30011,
-                      attempts: int = 3, seed: int = 7) -> None:
+def validate_template(tmpl: EliminationTemplate) -> None:
     """Check over F_p that the template has full elimination rank with
     pivots exactly at the non-basis columns."""
     nb = tmpl.n_cols - len(BASIS_MONOMIALS)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     last = None
-    for _ in range(attempts):
-        A = _modular_template_matrix(tmpl, prime, rng)
-        pivots = _modular_rref_pivots(A, prime, nb)
+    for _ in range(VALIDATION_ATTEMPTS):
+        A = _modular_template_matrix(tmpl, VALIDATION_PRIME, rng)
+        pivots = _modular_rref_pivots(A, VALIDATION_PRIME, nb)
         if pivots == list(range(nb)):
             return
         last = pivots
@@ -381,36 +370,13 @@ def validate_template(tmpl: EliminationTemplate, prime: int = 30011,
         f"template pivots are not the {nb} non-basis columns (got {len(last)})")
 
 
-def build_template(validate: bool = True, prune: bool = False,
-                   prime: int = 30011, seed: int = 7) -> EliminationTemplate:
-    """Construct (and optionally prune) the 160x126 elimination template."""
+def build_template(validate: bool = True) -> EliminationTemplate:
+    """The 160x126 elimination template, checked over F_p unless
+    ``validate`` is false."""
     tmpl = EliminationTemplate(_default_columns(), _default_schedule())
-    if validate or prune:
-        validate_template(tmpl, prime, seed=seed)
-    if prune:
-        tmpl = _prune_template(tmpl, prime, seed=seed)
+    if validate:
+        validate_template(tmpl)
     return tmpl
-
-
-def _prune_template(tmpl: EliminationTemplate, prime: int,
-                    seed: int) -> EliminationTemplate:
-    """Greedy row removal, revalidated over F_p after each step."""
-    rng = np.random.default_rng(seed)
-    A = _modular_template_matrix(tmpl, prime, rng)
-    nb = tmpl.n_cols - len(BASIS_MONOMIALS)
-    flat = [(i, a) for i, s in enumerate(tmpl.schedule) for a in range(len(s))]
-    keep = np.ones(len(flat), dtype=bool)
-    for r in range(len(flat) - 1, -1, -1):
-        keep[r] = False
-        if _modular_rref_pivots(A[keep], prime, nb) != list(range(nb)):
-            keep[r] = True
-    sched: list[list] = [[] for _ in tmpl.schedule]
-    for flag, (i, a) in zip(keep, flat):
-        if flag:
-            sched[i].append(tmpl.schedule[i][a])
-    out = EliminationTemplate(tmpl.columns, tuple(tuple(s) for s in sched))
-    validate_template(out, prime, seed=seed + 1)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +399,7 @@ class SolutionCandidate:
                     and self.f_squared > 0)
 
 
-def _rref_partial(A: np.ndarray, ncols: int, tol: float = 1e-12):
+def _rref_partial(A: np.ndarray, ncols: int):
     """In-place reduced row echelon form with partial pivoting over the
     first ncols columns; returns {pivot column: row}."""
     nrows = A.shape[0]
@@ -441,7 +407,7 @@ def _rref_partial(A: np.ndarray, ncols: int, tol: float = 1e-12):
     r = 0
     for j in range(ncols):
         k = r + int(np.argmax(np.abs(A[r:, j])))
-        if abs(A[k, j]) <= tol:
+        if abs(A[k, j]) <= PIVOT_TOL:
             continue
         if k != r:
             A[[r, k]] = A[[k, r]]
@@ -459,8 +425,7 @@ def _rref_partial(A: np.ndarray, ncols: int, tol: float = 1e-12):
     return pivot_row
 
 
-def solve(corrs, tmpl: EliminationTemplate,
-          real_tol: float = 1e-6) -> list[SolutionCandidate]:
+def solve(corrs, tmpl: EliminationTemplate) -> list[SolutionCandidate]:
     """All 23 solution candidates for 7 correspondences.
 
     Real candidates carry the reconstructed monomial vector m, the
@@ -525,7 +490,7 @@ def solve(corrs, tmpl: EliminationTemplate,
     for k in range(nbas):
         gamma = G[k]
         residual = float(res[k])
-        is_real = all(abs(g.imag) <= real_tol * (1 + abs(g.real)) for g in gamma)
+        is_real = all(abs(g.imag) <= REAL_TOL * (1 + abs(g.real)) for g in gamma)
         if is_real:
             pt = gamma.real
             mvec = np.asarray(N) @ np.append(pt, 1.0)

@@ -308,6 +308,28 @@ def test_two_parameter_distorted_determinant_degree_stretch():
     assert out.stdout.strip() == "(9, 24)"
 
 
+#: (projective dimension, degree) of each model's two-parameter distortion
+#: variety; both routes of multi_distortion_generators must give it
+TWO_PARAM_DIM_DEGREE = {
+    ModelId.F: (9, 24),
+    ModelId.E: (7, 76),
+    ModelId.G: (8, 104),
+    ModelId.GPRIME: (8, 56),
+    ModelId.GDOUBLEPRIME: (8, 56),
+}
+
+
+@pytest.mark.parametrize("model", list(TWO_PARAM_DIM_DEGREE),
+                         ids=lambda m: m.value)
+def test_two_parameter_routes_agree(model):
+    from distvar.geometry import multi_distortion_generators
+    I = model_ideal(model, FP)
+    cfg = model_config(model, "two_param")
+    for method in ("eliminate", "iterate"):
+        J = multi_distortion_generators(I, cfg, method=method)
+        assert dim_degree(J) == TWO_PARAM_DIM_DEGREE[model], method
+
+
 # ===========================================================================
 # 6. solver cardinality, residuals and recovery
 # ===========================================================================

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -59,20 +61,23 @@ def test_cayley_command(capsys):
     assert "iterated" in data
 
 
-def test_template_command(capsys, tmp_path):
-    out = tmp_path / "tmpl.json"
-    data = run_json(capsys, "template", "--no-validate", "--out", str(out))
+def test_template_command(capsys):
+    data = run_json(capsys, "template")
     assert data["rows"] == 160
     assert data["cols"] == 126
-    assert out.exists()
+
+
+def write_corrs(tmp_path):
+    from distvar.simulate import SceneConfig, generate_trial
+    corrs, _ = generate_trial(SceneConfig(n_trials=1, seed=0), 0)
+    records = [{"U1": list(c.U1), "U2": list(c.U2)} for c in corrs]
+    path = tmp_path / "corrs.json"
+    path.write_text(json.dumps(records))
+    return path, records
 
 
 def test_solve_command(capsys, tmp_path):
-    from distvar.simulate import SceneConfig, generate_trial
-    corrs, _ = generate_trial(SceneConfig(n_trials=1, seed=0), 0)
-    path = tmp_path / "corrs.json"
-    path.write_text(json.dumps([{"U1": list(c.U1), "U2": list(c.U2)}
-                                for c in corrs]))
+    path, _ = write_corrs(tmp_path)
     data = run_json(capsys, "solve", "--corrs", str(path))
     assert data["n_candidates"] == 23
     assert data["n_real"] % 2 == 1
@@ -114,3 +119,40 @@ def test_bad_ideal_file(capsys, tmp_path):
 def test_bad_distortion_vector(capsys):
     code, _, err = run_cli(capsys, "degree", "--model", "F", "--u", "a,b")
     assert code == 1
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_solve_rejects_non_finite_input(tmp_path, value):
+    path, records = write_corrs(tmp_path)
+    # json.dumps writes Infinity / NaN, which json.load reads back; an
+    # infinite first coordinate used to hang the SVD
+    records[0]["U1"][0] = value
+    path.write_text(json.dumps(records))
+    out = subprocess.run([sys.executable, "-m", "distvar.cli", "solve",
+                          "--corrs", str(path)],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert "DegenerateDataError" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["model", "--model", "F", "--seed", "1"],
+    ["model", "--model", "F", "--config", "u_both"],
+    ["degree", "--model", "F", "--config", "u_both", "--seed", "1"],
+    ["cayley", "--model", "F", "--config", "two_param", "--prime", "7"],
+    ["cayley", "--model", "F", "--config", "two_param", "--seed", "1"],
+    ["solve", "--corrs", "c.json", "--prime", "7"],
+    ["template", "--max-pairs", "10"],
+    ["simulate", "--prime", "7"],
+])
+def test_unread_flags_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+
+
+def test_degree_bound_honours_pair_budget(capsys):
+    code, _, err = run_cli(capsys, "degree", "--model", "E", "--config",
+                           "u_both", "--bound", "--max-pairs", "1")
+    assert code == 1
+    assert "BudgetError" in err

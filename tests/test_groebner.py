@@ -106,6 +106,14 @@ def test_initial_ideal_weighted():
     assert M.gens == ((0, 2),)
 
 
+def test_initial_ideal_when_divisor_sorts_after_multiple():
+    # under weight -(1, 1, 1) the lower-degree x0 outranks its multiples;
+    # on a homogeneous ideal in_{-(1,1,1)} is the grevlex initial ideal
+    I = ideal(["x0 + x2", "x1^2 + x0*x1"], 3)
+    M = initial_ideal(I, (1, 1, 1))
+    assert set(M.gens) == set(leading_ideal(buchberger(I), 3).gens)
+
+
 # ---------------------------------------------------------------------------
 # monomial ideals and Hilbert data
 # ---------------------------------------------------------------------------
