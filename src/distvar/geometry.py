@@ -21,22 +21,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polycore import (
-    GREVLEX,
     Exponent,
     Polynomial,
     TermOrder,
     weighted_order,
 )
 from .groebner import (
-    GroebnerBasis,
+    DEFAULT_MAX_PAIRS,
     Ideal,
-    MonomialIdeal,
     buchberger,
     dim_degree,
-    eliminate,
     hilbert_dim_degree,
+    image_ideal,
     initial_ideal,
-    leading_ideal,
     saturate_variable,
     toric_ideal,
 )
@@ -415,11 +412,11 @@ def flatten_second_level(v, w) -> DistortionVector:
 
 def multi_distortion_generators(I: Ideal, cfg: MultiParamConfig,
                                 method: str = "auto",
-                                max_pairs: int = 200_000) -> Ideal:
+                                max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
     """Generators of the multi-parameter distortion variety X_[u].
 
-    method "eliminate" implicitizes the graph of the Cayley map over
-    V(I); "iterate" uses the decomposition X_[u] = (X_[v])_[w] and
+    method "eliminate" implicitizes the image of V(I) under the Cayley
+    map; "iterate" uses the decomposition X_[u] = (X_[v])_[w] and
     requires a two-parameter initial-segment configuration; "auto"
     prefers the iterated route when it applies.
     """
@@ -440,22 +437,5 @@ def multi_distortion_generators(I: Ideal, cfg: MultiParamConfig,
 
     if method != "eliminate":
         raise ValueError(f"unknown method {method!r}")
-    # graph ideal: ambient m-variables first, then x, then lambda
-    na = cfg.ambient_nvars
-    nx = I.nvars
-    r = cfg.r
-    nv = na + nx + r
-    dom = I.domain
-    gens = [g.extend_ring(nv, list(range(na, na + nx))) for g in I.generators]
-    col = 0
-    for i, gi in enumerate(cfg.groups):
-        for pt in gi:
-            e = [0] * nv
-            e[na + i] = 1
-            for k, ek in enumerate(pt):
-                e[na + nx + k] = ek
-            mono = Polynomial.monomial(tuple(e), nv, dom)
-            gens.append(Polynomial.variable(col, nv, dom) - mono)
-            col += 1
-    J = Ideal(gens, nv, dom)
-    return eliminate(J, list(range(na, nv)), max_pairs)
+    return image_ideal(cayley_parametrization(cfg), I.generators, I.domain,
+                       max_pairs)

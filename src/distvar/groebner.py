@@ -3,8 +3,8 @@
 The engine uses the Gebauer-Moeller pair criteria with sugar selection and
 produces reduced, deterministically ordered Groebner bases.  Monomial ideals
 get saturation, Hilbert-series numerators, and (dimension, degree) via the
-standard pivot recursion.  Toric ideals are built from an integer kernel
-basis followed by iterated variable saturation.
+standard pivot recursion.  Images of monomial maps, toric ideals among
+them, are computed by elimination from the graph of the map.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ from .polycore import (
     Polynomial,
     TermOrder,
     elimination_order,
-    grevlex_cheapest,
     mono_degree,
     mono_div,
     mono_divides,
-    mono_gcd,
     mono_lcm,
     mono_mul,
     weighted_order,
@@ -70,7 +68,6 @@ class Ideal:
 class GroebnerBasis:
     elements: list[Polynomial]
     order: TermOrder
-    reduced: bool = True
 
     @property
     def nvars(self) -> int:
@@ -154,8 +151,17 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
 
 def buchberger(I: Ideal, order: TermOrder = GREVLEX,
                max_pairs: int = DEFAULT_MAX_PAIRS) -> GroebnerBasis:
-    """Reduced Groebner basis of I; deterministic for fixed input."""
+    """Reduced Groebner basis of I; deterministic for fixed input.
+
+    A weight order with a negative weight is not a well-order, so
+    reduction terminates only on homogeneous input; other input raises
+    ValueError.
+    """
     _require_exact(I.domain)
+    if (order.kind == "weighted" and any(w < 0 for w in order.weights)
+            and not all(g.is_homogeneous() for g in I.generators)):
+        raise ValueError("weight order with negative weights needs "
+                         "homogeneous generators")
     dom = I.domain
     n = I.nvars
     keyf = order.key_fn(n)
@@ -272,7 +278,7 @@ def _reduce_basis(basis, lms, n, dom, order, keyf) -> GroebnerBasis:
         red = {m: dom.mul(c, lci) for m, c in red.items()}
         out.append(Polynomial(red, n, dom, _clean=True))
     out.sort(key=lambda p: keyf(p.leading_monomial(order)))
-    return GroebnerBasis(out, order, reduced=True)
+    return GroebnerBasis(out, order)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: TermOrder) -> Polynomial:
@@ -300,9 +306,6 @@ class MonomialIdeal:
     @classmethod
     def of(cls, monomials, nvars: int) -> "MonomialIdeal":
         return cls(tuple(_minimalize(list(monomials))), nvars)
-
-    def is_unit(self) -> bool:
-        return any(sum(m) == 0 for m in self.gens)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -484,87 +487,46 @@ def saturate_by_polynomial(I: Ideal, f: Polynomial,
 
 
 # ---------------------------------------------------------------------------
-# toric ideals
+# images of monomial maps
 # ---------------------------------------------------------------------------
 
-def integer_kernel(A: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {v : A v = 0} via column reduction."""
-    if not A:
-        return []
-    r, m = len(A), len(A[0])
-    # columns of [A; I], reduced by unimodular column operations
-    cols = [[A[i][j] for i in range(r)] + [1 if k == j else 0 for k in range(m)]
-            for j in range(m)]
-    row = 0
-    fixed = 0
-    while row < r and fixed < m:
-        # euclidean elimination in this row across free columns
-        while True:
-            nz = [j for j in range(fixed, m) if cols[j][row] != 0]
-            if not nz:
-                break
-            piv = min(nz, key=lambda j: abs(cols[j][row]))
-            cols[fixed], cols[piv] = cols[piv], cols[fixed]
-            done = True
-            for j in range(fixed + 1, m):
-                if cols[j][row] != 0:
-                    q = cols[j][row] // cols[fixed][row]
-                    cols[j] = [x - q * y for x, y in zip(cols[j], cols[fixed])]
-                    if cols[j][row] != 0:
-                        done = False
-            if done:
-                fixed += 1
-                break
-        row += 1
-    kernel = [c[r:] for c in cols[fixed:]]
-    return kernel
+def image_ideal(A: list[list[int]], relations, domain,
+                max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
+    """Ideal of the closure of the image of V(relations) in K^d under the
+    monomial map t -> (t^{a_1}, ..., t^{a_m}), a_j the columns of A.
 
-
-def _binomial_from_vector(v: list[int], nvars: int, domain) -> Polynomial:
-    plus = tuple(max(x, 0) for x in v)
-    minus = tuple(max(-x, 0) for x in v)
-    return Polynomial({plus: domain.one, minus: domain.neg(domain.one)},
-                      nvars, domain, _clean=True) if plus != minus else \
-        Polynomial.zero(nvars, domain)
-
-
-def _strip_monomial_content(p: Polynomial) -> Polynomial:
-    g = None
-    for m in p.terms:
-        g = m if g is None else mono_gcd(g, m)
-    if g is None or sum(g) == 0:
-        return p
-    return Polynomial({mono_div(m, g): c for m, c in p.terms.items()},
-                      p.nvars, p.domain, _clean=True)
+    ``relations`` are polynomials in the d variables t.  The graph ideal
+    <y_j - t^{a_j}> + relations lives in K[y, t] with y first; its
+    elimination ideal is returned in K[y] as a reduced grevlex basis.
+    """
+    if any(e < 0 for row in A for e in row):
+        raise ValueError("exponent matrix must be non-negative")
+    d, m = len(A), len(A[0])
+    nv = m + d
+    t = list(range(m, nv))
+    gens = [g.extend_ring(nv, t) for g in relations]
+    for j in range(m):
+        e = (0,) * m + tuple(row[j] for row in A)
+        gens.append(Polynomial.variable(j, nv, domain)
+                    - Polynomial.monomial(e, nv, domain))
+    return eliminate(Ideal(gens, nv, domain), t, max_pairs)
 
 
 def toric_ideal(A: list[list[int]], domain=None,
                 max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
     """Prime toric ideal of the monomial parametrization with exponent matrix A.
 
-    Columns of A are the exponent vectors; the row space of A must contain
-    the all-ones vector (projective/homogeneous configuration).  Computed as
-    the lattice-basis binomial ideal saturated with respect to every
-    variable in turn (grevlex with the saturating variable cheapest).
+    Columns of A are the non-negative exponent vectors; the row space of A
+    must contain the all-ones vector (projective/homogeneous configuration),
+    which holds exactly when every reduced generator is homogeneous.
+    Computed by elimination from the graph of the parametrization.
     """
     from .polycore import RATIONAL
 
     if domain is None:
         domain = RATIONAL
-    nvars = len(A[0])
-    ker = integer_kernel(A)
-    for v in ker:
-        if sum(v) != 0:
-            raise ValueError("configuration is not homogeneous "
-                             "(all-ones vector not in the row space)")
-    gens = [b for v in ker if (b := _binomial_from_vector(v, nvars, domain))]
-    if not gens:
-        return Ideal([], nvars, domain)
-    I = Ideal(gens, nvars, domain)
-    for j in range(nvars):
-        order = grevlex_cheapest(j, nvars)
-        gb = buchberger(I, order, max_pairs)
-        I = Ideal([_strip_monomial_content(g) for g in gb.elements],
-                  nvars, domain)
-    gb = buchberger(I, GREVLEX, max_pairs)
-    return Ideal(gb.elements, nvars, domain)
+    I = image_ideal(A, [], domain, max_pairs)
+    if not all(g.is_homogeneous() for g in I.generators):
+        raise ValueError("configuration is not homogeneous "
+                         "(all-ones vector not in the row space)")
+    return I

@@ -27,7 +27,6 @@ only the right camera (last column).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,20 +55,6 @@ MODEL_DIM_DEGREE = {
     ModelId.G: (6, 15),
     ModelId.GPRIME: (6, 9),
     ModelId.GDOUBLEPRIME: (6, 9),
-}
-
-#: distortion degrees deg(X_[u]) for the two built-in vectors.
-MODEL_DISTORTION_DEGREE = {
-    ("u_both", ModelId.F): 16,
-    ("u_both", ModelId.E): 52,
-    ("u_both", ModelId.G): 68,
-    ("u_both", ModelId.GPRIME): 42,
-    ("u_both", ModelId.GDOUBLEPRIME): 42,
-    ("v_right", ModelId.F): 8,
-    ("v_right", ModelId.E): 26,
-    ("v_right", ModelId.G): 37,
-    ("v_right", ModelId.GPRIME): 19,
-    ("v_right", ModelId.GDOUBLEPRIME): 23,
 }
 
 U_BOTH = (0, 0, 1, 0, 0, 1, 1, 1, 2)

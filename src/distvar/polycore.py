@@ -9,7 +9,7 @@ the numeric solver and simulator only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -232,12 +232,6 @@ def elimination_order(drop_vars: Iterable[int], nvars: int) -> TermOrder:
     return TermOrder("block", block_size=len(drop), var_priority=tuple(drop + keep))
 
 
-def grevlex_cheapest(var: int, nvars: int) -> TermOrder:
-    """Grevlex with the given variable moved to the cheapest position."""
-    perm = [i for i in range(nvars) if i != var] + [var]
-    return TermOrder("grevlex", var_priority=tuple(perm))
-
-
 def compare(order: TermOrder, a: Exponent, b: Exponent) -> int:
     """-1, 0, or 1 as a <, =, > b in the given order."""
     if len(a) != len(b):
@@ -263,9 +257,6 @@ def mono_divides(b: Exponent, a: Exponent) -> bool:
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-def mono_gcd(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(min(x, y) for x, y in zip(a, b))
 
 def mono_degree(a: Exponent) -> int:
     return sum(a)
@@ -476,9 +467,6 @@ class Polynomial:
                     v = v * x
             total = v if total is None else total + v
         return 0 if total is None else total
-
-    def map_coefficients(self, domain) -> "Polynomial":
-        return Polynomial({m: c for m, c in self.terms.items()}, self.nvars, domain)
 
     def extend_ring(self, nvars: int, var_map: Sequence[int]) -> "Polynomial":
         """Reembed into a ring with ``nvars`` variables, old var i -> var_map[i]."""

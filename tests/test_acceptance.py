@@ -272,6 +272,36 @@ def test_two_parameter_cayley_variety():
     assert dim_degree(I) == (10, 10)
 
 
+def test_four_parameter_cayley_variety():
+    """Oracle independent of the Groebner engine: the generators vanish
+    on the parametrization m_{i,p} = x_i lambda^p at random points mod p,
+    and the quadrics number dim I_2 = (degree-2 monomials) - (their
+    distinct images under the parametrization)."""
+    cfg = model_config(ModelId.F, "four_param")
+    I = cayley_ideal(cfg, FP)
+    cols = [(i, pt) for i, group in enumerate(cfg.groups) for pt in group]
+    assert I.nvars == len(cols) == 25
+    assert len(I.generators) == 71
+    assert all(len(g.terms) == 2 for g in I.generators)
+
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = [int(v) for v in rng.integers(1, PRIME, size=len(cfg.groups))]
+        lam = [int(v) for v in rng.integers(1, PRIME, size=cfg.r)]
+        point = [x[i] * math.prod(pow(l, e, PRIME) for l, e in zip(lam, pt))
+                 % PRIME for i, pt in cols]
+        assert all(FP.coerce(g.evaluate(point)) == 0 for g in I.generators)
+
+    def image(a, b):
+        (i, p), (j, q) = cols[a], cols[b]
+        return (min(i, j), max(i, j)) + tuple(s + t for s, t in zip(p, q))
+
+    pairs = list(itertools.combinations_with_replacement(range(len(cols)), 2))
+    images = {image(a, b) for a, b in pairs}
+    quadrics = [g for g in I.generators if g.total_degree() == 2]
+    assert len(quadrics) == len(pairs) - len(images)
+
+
 def test_two_parameter_iterated_decomposition():
     cfg = model_config(ModelId.F, "two_param")
     dec = iterated_decomposition(cfg)

@@ -156,3 +156,17 @@ def test_degree_bound_honours_pair_budget(capsys):
                            "u_both", "--bound", "--max-pairs", "1")
     assert code == 1
     assert "BudgetError" in err
+
+
+@pytest.mark.parametrize("command", ["degree", "distort"])
+def test_non_homogeneous_ideal_under_weight_order_is_rejected(tmp_path,
+                                                              command):
+    # the initial ideal needs a weight order with negative weights, under
+    # which reducing a non-homogeneous ideal used to loop forever
+    path = tmp_path / "ideal.txt"
+    path.write_text("x0 - x0^2*x1\nx1^2 - x0*x1\n")
+    out = subprocess.run([sys.executable, "-m", "distvar.cli", command,
+                          "--ideal", str(path), "--u", "0,1"],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert "homogeneous" in out.stderr

@@ -25,7 +25,6 @@ from distvar.groebner import (
     eliminate,
     hilbert_dim_degree,
     initial_ideal,
-    integer_kernel,
     leading_ideal,
     normal_form,
     s_polynomial,
@@ -225,13 +224,6 @@ def test_saturate_by_polynomial():
                for g in J.generators)
 
 
-def test_integer_kernel():
-    ker = integer_kernel([[1, 1, 1], [0, 1, 2]])
-    assert len(ker) == 1
-    v = ker[0]
-    assert [v[0] + v[1] + v[2], v[1] + 2 * v[2]] == [0, 0]
-
-
 def test_toric_twisted_cubic():
     I = toric_ideal([[3, 2, 1, 0], [0, 1, 2, 3]], F)
     assert dim_degree(I) == (1, 3)
@@ -246,3 +238,14 @@ def test_toric_segre():
     assert len(I.generators) == 1
     assert I.generators[0].total_degree() == 2
     assert dim_degree(I) == (2, 2)
+
+
+def test_toric_rejects_inhomogeneous_configuration():
+    # t -> (t, t^2) has the non-homogeneous toric ideal <y0^2 - y1>
+    with pytest.raises(ValueError, match="homogeneous"):
+        toric_ideal([[1, 2]], F)
+
+
+def test_toric_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="non-negative"):
+        toric_ideal([[1, 1, 1], [0, 1, -1]], F)
