@@ -1,7 +1,12 @@
 """Buchberger engine over exact domains, plus the monomial-ideal toolkit.
 
 The engine uses the Gebauer-Moeller pair criteria with sugar selection and
-produces reduced, deterministically ordered Groebner bases.  Monomial ideals
+produces reduced, deterministically ordered Groebner bases.  Each basis
+element's reducer (leading monomial, bitmask of the variables in it,
+inverse leading coefficient, terms) is built once: when the element joins
+the basis, or once per GroebnerBasis for normal forms.  Division and the
+pair criteria test the bitmasks before comparing exponents (Bachmann and
+Schoenemann, ISSAC 1998).  Monomial ideals
 get saturation, Hilbert-series numerators, and (dimension, degree) via the
 standard pivot recursion.  Images of monomial maps, toric ideals among
 them, are computed by elimination from the graph of the map.
@@ -11,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polycore import (
     GREVLEX,
@@ -73,6 +79,15 @@ class GroebnerBasis:
     def nvars(self) -> int:
         return self.elements[0].nvars if self.elements else 0
 
+    @cached_property
+    def reducers(self) -> list[tuple]:
+        """Division data of the elements, built on first use (so
+        ``elements`` must not change afterwards); raises ValueError where
+        reduction need not terminate."""
+        _check_termination(self.order, self.elements)
+        return [_make_reducer(g.terms, self.order.key_fn(g.nvars), g.domain)
+                for g in self.elements]
+
     def leading_monomials(self) -> list[Exponent]:
         return [g.leading_monomial(self.order) for g in self.elements]
 
@@ -86,8 +101,25 @@ def _require_exact(domain):
 # division / normal form
 # ---------------------------------------------------------------------------
 
-def _reduce_full(terms: dict, reducers, dom, keyf) -> dict:
-    """Fully reduce ``terms`` modulo reducers = [(lm, lc_inv, items), ...]."""
+def _support(m: Exponent) -> int:
+    """Bitmask of the variables that occur in m."""
+    bits = 0
+    for i, e in enumerate(m):
+        if e:
+            bits |= 1 << i
+    return bits
+
+
+def _make_reducer(terms: dict, keyf, dom):
+    """(lm, support mask of lm, 1/lc, term list) for use by _reduce_full."""
+    lm = max(terms, key=keyf)
+    return (lm, _support(lm), dom.inv(terms[lm]), list(terms.items()))
+
+
+def _reduce_full(terms, reducers, dom, keyf) -> dict:
+    """Fully reduce ``terms`` (a dict or (m, c) pairs) modulo ``reducers``,
+    a list of _make_reducer tuples; the first divisor in list order is used.
+    """
     work = dict(terms)
     out: dict[Exponent, object] = {}
     heap = [(tuple(-k for k in keyf(m)), m) for m in work]
@@ -98,16 +130,15 @@ def _reduce_full(terms: dict, reducers, dom, keyf) -> dict:
         if c is None or dom.is_zero(c):
             work.pop(m, None)
             continue
-        hit = None
-        for lm, lci, items in reducers:
-            if mono_divides(lm, m):
-                hit = (lm, lci, items)
+        # a reducer whose lm uses a variable absent from m cannot divide m
+        off = ~_support(m)
+        for lm, mask, lci, items in reducers:
+            if not mask & off and mono_divides(lm, m):
                 break
-        if hit is None:
+        else:
             out[m] = c
             del work[m]
             continue
-        lm, lci, items = hit
         q = mono_div(m, lm)
         factor = dom.mul(c, lci)
         for mg, cg in items:
@@ -127,10 +158,13 @@ def _reduce_full(terms: dict, reducers, dom, keyf) -> dict:
     return out
 
 
-def _make_reducer(terms: dict, order_keyf, dom):
-    lm = max(terms, key=order_keyf)
-    lci = dom.inv(terms[lm])
-    return (lm, lci, list(terms.items()))
+def _check_termination(order: TermOrder, polys) -> None:
+    """A weight order with a negative weight is not a well-order, so
+    reduction terminates only against homogeneous polynomials."""
+    if (order.kind == "weighted" and any(w < 0 for w in order.weights)
+            and not all(g.is_homogeneous() for g in polys)):
+        raise ValueError("weight order with negative weights needs "
+                         "homogeneous generators")
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -139,10 +173,8 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     if G.elements and G.elements[0].nvars != f.nvars:
         raise ValueError("polynomial and basis in different rings")
     keyf = G.order.key_fn(f.nvars)
-    dom = f.domain
-    reducers = [_make_reducer(g.terms, keyf, dom) for g in G.elements]
-    out = _reduce_full(f.terms, reducers, dom, keyf)
-    return Polynomial(out, f.nvars, dom, _clean=True)
+    out = _reduce_full(f.terms, G.reducers, f.domain, keyf)
+    return Polynomial(out, f.nvars, f.domain, _clean=True)
 
 
 # ---------------------------------------------------------------------------
@@ -158,22 +190,17 @@ def buchberger(I: Ideal, order: TermOrder = GREVLEX,
     ValueError.
     """
     _require_exact(I.domain)
-    if (order.kind == "weighted" and any(w < 0 for w in order.weights)
-            and not all(g.is_homogeneous() for g in I.generators)):
-        raise ValueError("weight order with negative weights needs "
-                         "homogeneous generators")
+    _check_termination(order, I.generators)
     dom = I.domain
     n = I.nvars
     keyf = order.key_fn(n)
 
-    basis: list[dict] = []      # term dicts, monic
+    reducers: list[tuple] = []  # _make_reducer tuples of the monic elements
     lms: list[Exponent] = []
+    masks: list[int] = []       # support masks of lms
     sugars: list[int] = []
     pairs: list[tuple] = []     # heap of (sugar, lcm_key, i, j)
-    alive_pairs: dict[tuple[int, int], Exponent] = {}
-
-    def reducers_all():
-        return [(lms[i], dom.one, list(basis[i].items())) for i in range(len(basis))]
+    alive_pairs: dict[tuple[int, int], tuple[Exponent, int]] = {}  # lcm, mask
 
     def add_poly(terms: dict, sugar: int):
         """Monic-ize, append, and update the pair set (Gebauer-Moeller)."""
@@ -182,50 +209,51 @@ def buchberger(I: Ideal, order: TermOrder = GREVLEX,
         if lc != dom.one:
             lci = dom.inv(lc)
             terms = {m: dom.mul(c, lci) for m, c in terms.items()}
-        t = len(basis)
-        # new candidate pairs
-        cands = []
-        for i in range(t):
-            L = mono_lcm(lms[i], lm)
-            cands.append((i, L))
+        lm_mask = _support(lm)
+        t = len(reducers)
+        # new candidate pairs; the support of an lcm is the union of supports
+        cands = [(i, mono_lcm(lms[i], lm), masks[i] | lm_mask)
+                 for i in range(t)]
         # criterion M/F: drop (i, t) if some other new pair's lcm divides its
         # lcm; among equal lcms keep the first.
-        keep: list[tuple[int, Exponent]] = []
-        for i, L in cands:
+        keep: list[tuple[int, Exponent, int]] = []
+        for i, L, mL in cands:
+            off = ~mL
             dominated = False
-            for j, L2 in cands:
+            for j, L2, m2 in cands:
                 if j == i:
                     continue
                 if L2 == L:
                     if j < i:
                         dominated = True
                         break
-                elif mono_divides(L2, L):
+                elif not m2 & off and mono_divides(L2, L):
                     dominated = True
                     break
             if not dominated:
-                keep.append((i, L))
+                keep.append((i, L, mL))
         # criterion B (chain): prune old pairs whose lcm is a proper multiple
-        for (i, j), L in list(alive_pairs.items()):
-            if (mono_divides(lm, L)
+        for (i, j), (L, mL) in list(alive_pairs.items()):
+            if (not lm_mask & ~mL and mono_divides(lm, L)
                     and mono_lcm(lms[i], lm) != L
                     and mono_lcm(lms[j], lm) != L):
                 del alive_pairs[(i, j)]
         # product criterion: coprime leading monomials need no reduction
-        for i, L in keep:
+        for i, L, mL in keep:
             if L == mono_mul(lms[i], lm):
                 continue
             s = max(sugars[i] + mono_degree(mono_div(L, lms[i])),
                     sugar + mono_degree(mono_div(L, lm)))
-            alive_pairs[(i, t)] = L
+            alive_pairs[(i, t)] = (L, mL)
             heapq.heappush(pairs, (s, keyf(L), i, t))
-        basis.append(terms)
+        reducers.append((lm, lm_mask, dom.one, list(terms.items())))
         lms.append(lm)
+        masks.append(lm_mask)
         sugars.append(sugar)
 
     # seed with the input generators, interreducing as we go
     for g in sorted(I.generators, key=lambda p: keyf(p.leading_monomial(order))):
-        red = _reduce_full(g.terms, reducers_all(), dom, keyf)
+        red = _reduce_full(g.terms, reducers, dom, keyf)
         if red:
             add_poly(red, max(mono_degree(m) for m in red))
 
@@ -240,9 +268,9 @@ def buchberger(I: Ideal, order: TermOrder = GREVLEX,
         L = mono_lcm(lms[i], lms[j])
         qi, qj = mono_div(L, lms[i]), mono_div(L, lms[j])
         spoly: dict[Exponent, object] = {}
-        for m, c in basis[i].items():
+        for m, c in reducers[i][3]:
             spoly[mono_mul(qi, m)] = c
-        for m, c in basis[j].items():
+        for m, c in reducers[j][3]:
             nm = mono_mul(qj, m)
             prev = spoly.get(nm)
             nv = dom.neg(c) if prev is None else dom.sub(prev, c)
@@ -250,18 +278,19 @@ def buchberger(I: Ideal, order: TermOrder = GREVLEX,
                 spoly.pop(nm, None)
             else:
                 spoly[nm] = nv
-        red = _reduce_full(spoly, reducers_all(), dom, keyf)
+        red = _reduce_full(spoly, reducers, dom, keyf)
         if red:
             add_poly(red, s)
 
-    return _reduce_basis(basis, lms, n, dom, order, keyf)
+    return _reduce_basis(reducers, n, dom, order, keyf)
 
 
-def _reduce_basis(basis, lms, n, dom, order, keyf) -> GroebnerBasis:
+def _reduce_basis(reducers, n, dom, order, keyf) -> GroebnerBasis:
     # minimalize: drop elements whose lm is divisible by another lm.  Sort
     # by degree first: under a non-global order (weighted(-u)) a divisor
     # can follow its multiple in term order, never in degree.
-    idx = sorted(range(len(basis)),
+    lms = [r[0] for r in reducers]
+    idx = sorted(range(len(reducers)),
                  key=lambda i: (mono_degree(lms[i]), keyf(lms[i])))
     minimal: list[int] = []
     for i in idx:
@@ -270,9 +299,8 @@ def _reduce_basis(basis, lms, n, dom, order, keyf) -> GroebnerBasis:
     # tail-reduce each survivor against the others
     out = []
     for i in minimal:
-        reducers = [(lms[j], dom.one, list(basis[j].items()))
-                    for j in minimal if j != i]
-        red = _reduce_full(basis[i], reducers, dom, keyf)
+        others = [reducers[j] for j in minimal if j != i]
+        red = _reduce_full(reducers[i][3], others, dom, keyf)
         lm = max(red, key=keyf)
         lci = dom.inv(red[lm])
         red = {m: dom.mul(c, lci) for m, c in red.items()}

@@ -9,6 +9,7 @@ the numeric solver and simulator only.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -26,14 +27,45 @@ class DimensionError(ValueError):
 # coefficient domains
 # ---------------------------------------------------------------------------
 
+#: Miller-Rabin with the first 13 prime bases decides primality exactly
+#: below MILLER_RABIN_LIMIT, the least strong pseudoprime to all of them
+#: (Sorenson and Webster, Math. Comp. 86, 2017).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for n < MILLER_RABIN_LIMIT."""
+    if n < 2:
+        return False
+    for a in MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """Arithmetic modulo a prime p; elements are ints in [0, p)."""
 
     exact = True
 
     def __init__(self, p: int = DEFAULT_PRIME):
-        if p < 2:
-            raise ValueError(f"modulus must be a prime >= 2, got {p}")
+        if not (p < MILLER_RABIN_LIMIT and _is_prime(p)):
+            raise ValueError(f"modulus must be a prime below "
+                             f"{MILLER_RABIN_LIMIT}, got {p}")
         self.p = p
         self.zero = 0
         self.one = 1
@@ -246,17 +278,17 @@ def compare(order: TermOrder, a: Exponent, b: Exponent) -> int:
 # ---------------------------------------------------------------------------
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def mono_div(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 def mono_divides(b: Exponent, a: Exponent) -> bool:
     """True iff monomial b divides monomial a."""
-    return all(x <= y for x, y in zip(b, a))
+    return all(map(operator.le, b, a))
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 def mono_degree(a: Exponent) -> int:
     return sum(a)

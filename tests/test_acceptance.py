@@ -355,9 +355,15 @@ def test_two_parameter_routes_agree(model):
     from distvar.geometry import multi_distortion_generators
     I = model_ideal(model, FP)
     cfg = model_config(model, "two_param")
+    routes = {}
     for method in ("eliminate", "iterate"):
         J = multi_distortion_generators(I, cfg, method=method)
         assert dim_degree(J) == TWO_PARAM_DIM_DEGREE[model], method
+        routes[method] = J
+    # the eliminate route returns a reduced grevlex basis; the iterate
+    # route's ideal must have exactly that basis, element by element
+    assert (buchberger(routes["iterate"]).elements
+            == routes["eliminate"].generators)
 
 
 # ===========================================================================

@@ -116,6 +116,13 @@ def test_bad_ideal_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_composite_prime_is_rejected(capsys):
+    code, _, err = run_cli(capsys, "degree", "--model", "F", "--config",
+                           "v_right", "--prime", "30012")
+    assert code == 1
+    assert "prime" in err
+
+
 def test_bad_distortion_vector(capsys):
     code, _, err = run_cli(capsys, "degree", "--model", "F", "--u", "a,b")
     assert code == 1

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,48 @@ def test_normal_form_is_reduced():
     nf = normal_form(f, gb)
     for m in nf.terms:
         assert not any(mono_divides(lm, m) for lm in gb.leading_monomials())
+
+
+def test_normal_form_rejects_non_homogeneous_basis_under_negative_weight():
+    # x0 -> x0^2*x1 -> x0^3*x1^2 -> ... never ends: under weight -(1, 1)
+    # every multiple of x0 - x0^2*x1 leads with its lowest-degree term
+    code = ("from distvar.groebner import GroebnerBasis, normal_form\n"
+            "from distvar.polycore import GF, parse_polynomial, weighted_order\n"
+            "F = GF(30011)\n"
+            "g = parse_polynomial('x0 - x0^2*x1', 2, F)\n"
+            "x0 = parse_polynomial('x0', 2, F)\n"
+            "normal_form(x0, GroebnerBasis([g], weighted_order([-1, -1])))\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert "ValueError" in out.stderr and "homogeneous" in out.stderr
+
+
+def _homogeneous_poly(nvars):
+    def of_degree(d):
+        monos = list(_monos_of_degree(d, nvars))
+        return st.dictionaries(st.sampled_from(monos), st.integers(1, 30010),
+                               min_size=1, max_size=3)
+    return st.integers(1, 3).flatmap(of_degree).map(
+        lambda terms: Polynomial(terms, nvars, F))
+
+
+@given(st.lists(_homogeneous_poly(4), min_size=1, max_size=4),
+       st.tuples(*[st.integers(-3, 1)] * 4).filter(lambda w: min(w) < 0))
+@settings(max_examples=60, deadline=None)
+def test_basis_under_negative_weights_is_reduced_groebner(gens, weights):
+    order = weighted_order(weights)
+    gb = buchberger(Ideal(gens, 4, F), order)
+    lms = gb.leading_monomials()
+    for k, g in enumerate(gb.elements):
+        assert g.leading_coefficient(order) == 1
+        for m in g.terms:
+            assert not any(mono_divides(lm, m)
+                           for j, lm in enumerate(lms) if j != k)
+    for f, g in itertools.combinations(gb.elements, 2):
+        assert normal_form(s_polynomial(f, g, order), gb).is_zero()
+    for f in gens:
+        assert normal_form(f, gb).is_zero()
 
 
 def test_lex_elimination_of_circle_and_line():

@@ -48,6 +48,37 @@ def test_prime_field_rejects_tiny_modulus():
         GF(1)
 
 
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _is_field(n):
+    try:
+        GF(n)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", [
+    30012,                          # GF(30012).inv(2) used to return 1024
+    -7, 0, 1,
+    561,                            # a Carmichael number
+    3215031751,                     # strong pseudoprime to bases 2, 3, 5, 7
+    318665857834031151167461,       # strong pseudoprime to bases 2, ..., 37
+    3317044064679887385961981,      # ... and to 41: past the exact range
+])
+def test_prime_field_rejects_composite_modulus(n):
+    with pytest.raises(ValueError, match="prime"):
+        GF(n)
+
+
+def test_prime_field_accepts_exactly_the_primes():
+    assert ([n for n in range(3000) if _is_field(n)]
+            == [n for n in range(3000) if _trial_division_prime(n)])
+    assert _is_field(2**61 - 1) and _is_field(30011)
+
+
 def test_gf_equality():
     assert GF(30011) == GF(30011)
     assert GF(30011) != GF(7)
