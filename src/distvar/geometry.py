@@ -232,15 +232,15 @@ def distort_polynomial(p: Polynomial, i: int, u) -> Polynomial:
     return Polynomial(out, u.ambient_nvars, p.domain, _clean=True)
 
 
-def distortion_ideal_generators(I: Ideal, u, max_pairs=None) -> Ideal:
+def distortion_ideal_generators(I: Ideal, u,
+                                max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
     """Generators of I(X_[u]): Hankel minors plus all distortions of the
     reduced Groebner basis of I under a weight order refining -u."""
     u = DistortionVector.of(u)
     if u.n + 1 != I.nvars:
         raise ValueError("distortion vector length does not match the ring")
     order = weighted_order([-w for w in u.entries])
-    gb = buchberger(I, order, **({} if max_pairs is None
-                                 else {"max_pairs": max_pairs}))
+    gb = buchberger(I, order, max_pairs)
     gens = scroll_minors(u, I.domain)
     for p in gb.elements:
         for i in range(min_weight(p, u) + 1):
@@ -261,7 +261,7 @@ def degree_bound(deg_x: int, codim: int, u) -> int:
     return deg_x * sum(top)
 
 
-def distortion_degree(I: Ideal, u, max_pairs=None) -> int:
+def distortion_degree(I: Ideal, u, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
     """Exact degree of X_[u] by the Chow-point saturation formula.
 
     Sums u_j times the degree of in_{-u}(X) : <x_j>^inf over all j,
@@ -271,9 +271,8 @@ def distortion_degree(I: Ideal, u, max_pairs=None) -> int:
     u = DistortionVector.of(u)
     if u.n + 1 != I.nvars:
         raise ValueError("distortion vector length does not match the ring")
-    kw = {} if max_pairs is None else {"max_pairs": max_pairs}
-    dim_x, _ = dim_degree(I, **kw)
-    M = initial_ideal(I, u.entries, **kw)
+    dim_x, _ = dim_degree(I, max_pairs=max_pairs)
+    M = initial_ideal(I, u.entries, max_pairs)
     total = 0
     for j, uj in enumerate(u.entries):
         if uj == 0:
@@ -418,7 +417,8 @@ def multi_distortion_generators(I: Ideal, cfg: MultiParamConfig,
     method "eliminate" implicitizes the image of V(I) under the Cayley
     map; "iterate" uses the decomposition X_[u] = (X_[v])_[w] and
     requires a two-parameter initial-segment configuration; "auto"
-    prefers the iterated route when it applies.
+    prefers the iterated route when it applies.  ``max_pairs`` bounds
+    each Buchberger run of either route.
     """
     if len(cfg.groups) != I.nvars:
         raise ValueError("configuration length does not match the ring")
@@ -432,8 +432,9 @@ def multi_distortion_generators(I: Ideal, cfg: MultiParamConfig,
             raise ValueError("configuration does not decompose into "
                              "successive one-parameter distortions")
         v, w = dec
-        inner = distortion_ideal_generators(I, DistortionVector(v))
-        return distortion_ideal_generators(inner, flatten_second_level(v, w))
+        inner = distortion_ideal_generators(I, DistortionVector(v), max_pairs)
+        return distortion_ideal_generators(inner, flatten_second_level(v, w),
+                                           max_pairs)
 
     if method != "eliminate":
         raise ValueError(f"unknown method {method!r}")

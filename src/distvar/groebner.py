@@ -37,10 +37,6 @@ class BudgetError(RuntimeError):
     """A Groebner computation exceeded its pair/step budget."""
 
 
-class DomainError(TypeError):
-    """Operation requires an exact coefficient domain."""
-
-
 DEFAULT_MAX_PAIRS = 200_000
 
 
@@ -61,13 +57,6 @@ class Ideal:
                 raise ValueError("generator in wrong ring")
             if g.domain != self.domain:
                 raise ValueError("generator in wrong domain")
-
-    @classmethod
-    def of(cls, gens: list[Polynomial]) -> "Ideal":
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            raise ValueError("cannot infer ring from an empty generator list")
-        return cls(gens, gens[0].nvars, gens[0].domain)
 
 
 @dataclass
@@ -90,11 +79,6 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> list[Exponent]:
         return [g.leading_monomial(self.order) for g in self.elements]
-
-
-def _require_exact(domain):
-    if not domain.exact:
-        raise DomainError("Groebner computations require PrimeField or Rational")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +153,6 @@ def _check_termination(order: TermOrder, polys) -> None:
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by G; no term divisible by any lm(G)."""
-    _require_exact(f.domain)
     if G.elements and G.elements[0].nvars != f.nvars:
         raise ValueError("polynomial and basis in different rings")
     keyf = G.order.key_fn(f.nvars)
@@ -189,7 +172,6 @@ def buchberger(I: Ideal, order: TermOrder = GREVLEX,
     reduction terminates only on homogeneous input; other input raises
     ValueError.
     """
-    _require_exact(I.domain)
     _check_termination(order, I.generators)
     dom = I.domain
     n = I.nvars
@@ -444,13 +426,11 @@ def _hilbert_numerator(gens: tuple[Exponent, ...], memo: dict) -> list[int]:
     return out
 
 
-def hilbert_dim_degree(M: MonomialIdeal, nvars: int | None = None) -> HilbertData:
+def hilbert_dim_degree(M: MonomialIdeal) -> HilbertData:
     """Projective (dimension, degree) of R/M via the Hilbert numerator.
 
     The unit ideal reports dimension -1 and degree 0.
     """
-    if nvars is None:
-        nvars = M.nvars
     num = _hilbert_numerator(M.gens, {})
     while num and num[-1] == 0:
         num.pop()
@@ -467,7 +447,7 @@ def hilbert_dim_degree(M: MonomialIdeal, nvars: int | None = None) -> HilbertDat
             out[i] = acc
         q = out
         c += 1
-    return HilbertData(tuple(num), nvars - 1 - c, sum(q))
+    return HilbertData(tuple(num), M.nvars - 1 - c, sum(q))
 
 
 def dim_degree(I: Ideal, order: TermOrder = GREVLEX,
@@ -475,12 +455,12 @@ def dim_degree(I: Ideal, order: TermOrder = GREVLEX,
     """(projective dimension, degree) of V(I) via a grevlex initial ideal."""
     gb = buchberger(I, order, max_pairs)
     M = leading_ideal(gb, I.nvars)
-    h = hilbert_dim_degree(M, I.nvars)
+    h = hilbert_dim_degree(M)
     return h.projective_dimension, h.degree
 
 
 # ---------------------------------------------------------------------------
-# elimination and saturation
+# elimination
 # ---------------------------------------------------------------------------
 
 def eliminate(I: Ideal, drop_vars, max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
@@ -491,27 +471,12 @@ def eliminate(I: Ideal, drop_vars, max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
     """
     drop = sorted(set(drop_vars))
     keep = [i for i in range(I.nvars) if i not in set(drop)]
-    if not drop:
-        gb = buchberger(I, GREVLEX, max_pairs)
-        return Ideal(gb.elements, I.nvars, I.domain)
     order = elimination_order(drop, I.nvars)
     gb = buchberger(I, order, max_pairs)
     kept = [g for g in gb.elements
             if all(all(m[i] == 0 for i in drop) for m in g.terms)]
     gens = [g.restrict_ring(keep) for g in kept]
     return Ideal(gens, len(keep), I.domain)
-
-
-def saturate_by_polynomial(I: Ideal, f: Polynomial,
-                           max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
-    """I : f^infinity via the extra-variable trick (t*f - 1, eliminate t)."""
-    n = I.nvars
-    ext = list(range(1, n + 1))  # old var i -> i+1; t is variable 0
-    gens = [g.extend_ring(n + 1, ext) for g in I.generators]
-    t = Polynomial.variable(0, n + 1, I.domain)
-    gens.append(t * f.extend_ring(n + 1, ext) - 1)
-    J = Ideal(gens, n + 1, I.domain)
-    return eliminate(J, [0], max_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,6 @@ from .geometry import DistortionVector, MultiParamConfig
 
 VAR_NAMES = ["x11", "x12", "x13", "x21", "x22", "x23", "x31", "x32", "x33"]
 
-DEFAULT_PRIME = 30011
-
 
 class ModelId(Enum):
     F = "F"
@@ -152,7 +150,7 @@ def _bordered_minors(domain, transposed: bool) -> list[Polynomial]:
 def model_ideal(model: ModelId, domain=None) -> Ideal:
     """Defining ideal of the model in the 9 matrix coordinates."""
     if domain is None:
-        domain = GF(DEFAULT_PRIME)
+        domain = GF()
     model = ModelId(model)
     det = parse_polynomial(DET_TEXT, 9, domain, VAR_NAMES)
     if model is ModelId.F:
@@ -202,13 +200,6 @@ def essential_matrix(rotation: np.ndarray, translation: np.ndarray) -> np.ndarra
     return tx @ np.asarray(rotation, dtype=float)
 
 
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 #: relative size below which the focal formula's denominator counts as zero
 FOCAL_TOL = 1e-12
 
@@ -232,17 +223,3 @@ def focal_from_matrix(X) -> float:
     if abs(den) <= FOCAL_TOL * scale ** 3:
         raise ZeroDivisionError("focal length formula is degenerate here")
     return num / den
-
-
-def evaluate_model(model: ModelId, X, domain=None) -> float:
-    """Largest absolute generator value at a numeric 3x3 matrix,
-    normalized by the matrix scale per generator degree."""
-    x = np.asarray(X, dtype=float).reshape(9)
-    scale = np.abs(x).max()
-    from .polycore import FLOAT64
-    I = model_ideal(model, FLOAT64)
-    worst = 0.0
-    for g in I.generators:
-        val = g.evaluate(list(x))
-        worst = max(worst, abs(val) / scale ** g.total_degree())
-    return worst

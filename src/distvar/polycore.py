@@ -2,9 +2,9 @@
 
 A monomial is an exponent tuple (one non-negative int per ring variable).
 A polynomial is a dict mapping exponent tuples to nonzero coefficients,
-together with a variable count and a coefficient domain.  Arithmetic is
-exact in the prime-field and rational domains; the float domain exists for
-the numeric solver and simulator only.
+together with a variable count and a coefficient domain, F_p or Q; all
+arithmetic is exact.  Term orders are grevlex, weight vectors with a
+grevlex tiebreak, and two-block elimination orders.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def _is_prime(n: int) -> bool:
 class PrimeField:
     """Arithmetic modulo a prime p; elements are ints in [0, p)."""
 
-    exact = True
-
     def __init__(self, p: int = DEFAULT_PRIME):
         if not (p < MILLER_RABIN_LIMIT and _is_prime(p)):
             raise ValueError(f"modulus must be a prime below "
@@ -72,7 +70,9 @@ class PrimeField:
 
     def coerce(self, v):
         if isinstance(v, Fraction):
-            return (v.numerator * self.inv(v.denominator % self.p)) % self.p
+            if v.denominator % self.p == 0:
+                raise ValueError(f"coefficient {v} has no image mod {self.p}")
+            return (v.numerator * self.inv(v.denominator)) % self.p
         return int(v) % self.p
 
     def add(self, a, b):
@@ -109,7 +109,6 @@ class PrimeField:
 class RationalDomain:
     """Exact rationals via fractions.Fraction."""
 
-    exact = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -144,46 +143,7 @@ class RationalDomain:
         return "Rational"
 
 
-class Float64Domain:
-    """IEEE doubles; inexact, rejected by the Groebner engine."""
-
-    exact = False
-    zero = 0.0
-    one = 1.0
-
-    def coerce(self, v):
-        return float(v)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return 1.0 / a
-
-    def is_zero(self, a):
-        return a == 0.0
-
-    def __eq__(self, other):
-        return isinstance(other, Float64Domain)
-
-    def __hash__(self):
-        return hash("Float64Domain")
-
-    def __repr__(self):
-        return "Float64"
-
-
 RATIONAL = RationalDomain()
-FLOAT64 = Float64Domain()
 GF = PrimeField  # convenience alias
 
 
@@ -201,7 +161,6 @@ class TermOrder:
 
     kinds:
       grevlex           graded reverse lexicographic
-      lex               lexicographic
       weighted          weight vector first, grevlex tiebreak
       block             eliminate the first ``block_size`` variables
                         (grevlex within each block)
@@ -229,8 +188,6 @@ class TermOrder:
 
         if self.kind == "grevlex":
             return lambda e: _grevlex_key(reorder(e))
-        if self.kind == "lex":
-            return lambda e: reorder(e)
         if self.kind == "weighted":
             w = self.weights
             if w is None or len(w) != nvars:
@@ -250,7 +207,6 @@ class TermOrder:
 
 
 GREVLEX = TermOrder("grevlex")
-LEX = TermOrder("lex")
 
 
 def weighted_order(weights: Sequence[int]) -> TermOrder:
@@ -262,15 +218,6 @@ def elimination_order(drop_vars: Iterable[int], nvars: int) -> TermOrder:
     drop = sorted(set(drop_vars))
     keep = [i for i in range(nvars) if i not in set(drop)]
     return TermOrder("block", block_size=len(drop), var_priority=tuple(drop + keep))
-
-
-def compare(order: TermOrder, a: Exponent, b: Exponent) -> int:
-    """-1, 0, or 1 as a <, =, > b in the given order."""
-    if len(a) != len(b):
-        raise DimensionError(f"monomials of length {len(a)} and {len(b)}")
-    kf = order.key_fn(len(a))
-    ka, kb = kf(a), kf(b)
-    return (ka > kb) - (ka < kb)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +402,7 @@ class Polynomial:
     # -- structural maps ----------------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Compose: replace variable i by images[i] (exact in exact domains)."""
+        """Compose: replace variable i by images[i]."""
         if len(images) != self.nvars:
             raise DimensionError(
                 f"{self.nvars} variables but {len(images)} images")
@@ -488,7 +435,8 @@ class Polynomial:
         return out
 
     def evaluate(self, point: Sequence) -> object:
-        """Evaluate at a point of the coefficient domain (or floats)."""
+        """Evaluate at a point, in the arithmetic of its coordinates (an
+        F_p value comes back unreduced)."""
         if len(point) != self.nvars:
             raise DimensionError("point length mismatch")
         total = None
@@ -554,14 +502,8 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None,
         c = p.terms[m]
         factors = [f"{names[i]}^{e}" if e > 1 else names[i]
                    for i, e in enumerate(m) if e]
-        neg = False
-        if isinstance(c, Fraction) or isinstance(c, int):
-            if c < 0:
-                neg, c = True, -c
-        elif isinstance(c, float):
-            if c < 0:
-                neg, c = True, -c
-        cs = str(c)
+        neg = c < 0
+        cs = str(-c if neg else c)
         if factors and cs == "1":
             body = "*".join(factors)
         elif factors:
@@ -608,11 +550,7 @@ def parse_polynomial(text: str, nvars: int | None = None, domain=RATIONAL,
                 sign = -sign
                 f = f[1:]
             if re.fullmatch(r"\d+(/\d+)?(\.\d+)?", f):
-                if "." in f:
-                    coeff *= Fraction(f)
-                else:
-                    coeff *= Fraction(f)
-                coeff *= sign
+                coeff *= sign * Fraction(f)
                 continue
             m = tok.match(f)
             if not m:

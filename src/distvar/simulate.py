@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .solver import (Correspondence, DegenerateDataError, EliminationTemplate,
-                     build_template, count_real, epipolar_coefficients, solve)
+                     build_template, count_real, solve)
 from .models import essential_matrix
 
 N_SOLUTIONS = 23
@@ -252,16 +252,6 @@ def generate_trial(cfg: SceneConfig, trial_index: int):
     m[[3, 7, 11]] = lam * X[:, 2]
     truth = GroundTruth(R1, -R1 @ c1, R2, -R2 @ c2, f, lam, X, m)
     return corrs, truth
-
-
-def epipolar_residual(corrs, truth: GroundTruth) -> float:
-    """Largest |c . m_truth| over the correspondences, normalized."""
-    m = truth.m / np.linalg.norm(truth.m)
-    worst = 0.0
-    for p in corrs:
-        c = epipolar_coefficients(p)
-        worst = max(worst, abs(c @ m) / np.linalg.norm(c))
-    return worst
 
 
 # ---------------------------------------------------------------------------

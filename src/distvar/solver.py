@@ -18,7 +18,10 @@ The solver is split into an offline stage (build_template: a fixed
 validated by rank/pivot structure over a prime field) and a fast online
 stage (solve: fill the template numerically, Gauss-Jordan eliminate,
 read off the action matrix of multiplication by gamma_1, and extract
-candidates from its eigenvectors).
+candidates from its eigenvectors).  Only the validation builds f_1..f_10
+as exact polynomials, over F_p; solve evaluates them with numpy and
+interpolates their coefficients.  Both fill the template by one scatter
+of the concatenated generator coefficients.
 """
 
 from __future__ import annotations
@@ -40,8 +43,7 @@ BASIS_MONOMIALS = (
     (0, 0, 0, 1), (0, 0, 0, 2), (0, 0, 0, 3), (0, 0, 0, 4),
 )
 
-#: positions of 1, gamma_1, gamma_2, gamma_3, gamma_4 inside the basis
-BASIS_ONE = 0
+#: positions of gamma_1, gamma_2, gamma_3, gamma_4 inside the basis
 BASIS_GAMMA = (1, 6, 12, 19)
 
 GENERATOR_DEGREES = (2, 2, 2, 3, 3, 4, 4, 4, 4, 4)
@@ -128,11 +130,10 @@ def nullspace_basis(C: np.ndarray) -> np.ndarray:
 # the ten generators
 # ---------------------------------------------------------------------------
 
-def _generators_from_entries(m, negate):
-    """The ten rank constraints, for entries m_0..m_11 of any ring that
-    supports + and *.  ``negate`` maps x to -x in that ring."""
+def _generators_from_entries(m):
+    """The ten rank constraints, for entries m_0..m_11 of any ring."""
     c1 = m[4] * m[8] + m[5] * m[9] + m[6] * m[10]
-    c2 = negate(m[0] * m[8] + m[1] * m[9] + m[2] * m[10])
+    c2 = -(m[0] * m[8] + m[1] * m[9] + m[2] * m[10])
     rows = [(m[0], m[1], c1, m[2], m[3]),
             (m[4], m[5], c2, m[6], m[7]),
             (m[8], m[9], None, m[10], m[11])]  # None = structural zero
@@ -148,25 +149,21 @@ def _generators_from_entries(m, negate):
                 continue
             term = e1 * e2 * e3
             if sgn < 0:
-                term = negate(term)
+                term = -term
             total = term if total is None else total + term
         return total
 
-    gens = [m[6] * m[11] + negate(m[7] * m[10]),
-            m[2] * m[11] + negate(m[3] * m[10]),
-            m[2] * m[7] + negate(m[3] * m[6])]
+    gens = [m[6] * m[11] - m[7] * m[10],
+            m[2] * m[11] - m[3] * m[10],
+            m[2] * m[7] - m[3] * m[6]]
     for cols in _MINOR_TRIPLES:
         gens.append(det3(cols))
     return gens
 
 
-def generator_polynomials(N: np.ndarray, domain=None) -> list[Polynomial]:
-    """f_1..f_10 as polynomials in gamma_1..gamma_4 after substituting
-    m = N @ (gamma_1, .., gamma_4, 1)."""
-    from .polycore import FLOAT64
-
-    if domain is None:
-        domain = FLOAT64
+def generator_polynomials(N: np.ndarray, domain) -> list[Polynomial]:
+    """f_1..f_10 as polynomials in gamma_1..gamma_4 over ``domain`` after
+    substituting m = N @ (gamma_1, .., gamma_4, 1)."""
     N = np.asarray(N)
     ms = []
     for i in range(12):
@@ -177,7 +174,7 @@ def generator_polynomials(N: np.ndarray, domain=None) -> list[Polynomial]:
             terms[tuple(e)] = N[i, k]
         terms[(0, 0, 0, 0)] = N[i, 4]
         ms.append(Polynomial(terms, 4, domain))
-    return _generators_from_entries(ms, lambda p: -p)
+    return _generators_from_entries(ms)
 
 
 def _generator_values(N: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -186,7 +183,7 @@ def _generator_values(N: np.ndarray, pts: np.ndarray) -> np.ndarray:
     G5 = np.hstack([pts, np.ones((K, 1))])
     M = G5 @ np.asarray(N).T  # (K, 12)
     m = [M[:, i] for i in range(12)]
-    vals = _generators_from_entries(m, lambda a: -a)
+    vals = _generators_from_entries(m)
     return np.array(vals)
 
 
@@ -231,12 +228,16 @@ class EliminationTemplate:
     columns: all 126 monomials of degree <= 5, the 103 non-basis ones
     first (descending grevlex) followed by the 23 basis monomials.
     schedule: per generator, the list of multiplier monomials.
+    fill_rows, fill_cols, fill_src: the template entry (row, col) that
+    takes entry src of the concatenated generator coefficient vectors.
     """
 
     columns: tuple[tuple[int, ...], ...]
     schedule: tuple[tuple[tuple[int, ...], ...], ...]
     # caches built in __post_init__
-    col_maps: list = field(default_factory=list, repr=False)
+    fill_rows: np.ndarray = field(default=None, repr=False)
+    fill_cols: np.ndarray = field(default=None, repr=False)
+    fill_src: np.ndarray = field(default=None, repr=False)
     interp_points: np.ndarray = field(default=None, repr=False)
     interp_pinv: dict = field(default_factory=dict, repr=False)
     src_monos: dict = field(default_factory=dict, repr=False)
@@ -261,14 +262,20 @@ class EliminationTemplate:
         for d in set(GENERATOR_DEGREES):
             self.src_monos[d] = monomials_up_to(d)
         self.src_exps = {d: np.array(s) for d, s in self.src_monos.items()}
-        self.col_maps = []
+        rows, cols, srcs = [], [], []
+        row = offset = 0
         for i, mults in enumerate(self.schedule):
             src = self.src_monos[GENERATOR_DEGREES[i]]
-            cmap = np.empty((len(mults), len(src)), dtype=np.intp)
-            for a, em in enumerate(mults):
+            for em in mults:
                 for b, es in enumerate(src):
-                    cmap[a, b] = col_index[tuple(x + y for x, y in zip(em, es))]
-            self.col_maps.append(cmap)
+                    rows.append(row)
+                    cols.append(col_index[tuple(x + y for x, y in zip(em, es))])
+                    srcs.append(offset + b)
+                row += 1
+            offset += len(src)
+        self.fill_rows = np.array(rows, dtype=np.intp)
+        self.fill_cols = np.array(cols, dtype=np.intp)
+        self.fill_src = np.array(srcs, dtype=np.intp)
         rng = np.random.default_rng(20011)
         self.interp_points = rng.uniform(-1.0, 1.0, size=(120, 4))
         for d, src in self.src_monos.items():
@@ -298,6 +305,14 @@ class EliminationTemplate:
                 if col_index[shifted] >= nb:
                     raise TemplateError("shifted basis monomial is not a pivot column")
 
+    def fill(self, coeffs) -> np.ndarray:
+        """The template matrix for the ten generators' coefficient vectors,
+        each over src_monos of its degree."""
+        flat = np.concatenate(coeffs)
+        A = np.zeros((self.n_rows, self.n_cols), dtype=flat.dtype)
+        A[self.fill_rows, self.fill_cols] = flat[self.fill_src]
+        return A
+
 
 def _default_columns():
     all5 = monomials_up_to(5)
@@ -317,15 +332,9 @@ def _modular_template_matrix(tmpl: EliminationTemplate, p: int,
     """Template matrix for a random prime-field instance (exact)."""
     N = rng.integers(0, p, size=(12, 5))
     gens = generator_polynomials(N, GF(p))
-    A = np.zeros((tmpl.n_rows, tmpl.n_cols), dtype=np.int64)
-    row = 0
-    for i, mults in enumerate(tmpl.schedule):
-        src = tmpl.src_monos[GENERATOR_DEGREES[i]]
-        coeffs = np.array([gens[i].terms.get(e, 0) for e in src], dtype=np.int64)
-        for a in range(len(mults)):
-            A[row, tmpl.col_maps[i][a]] = coeffs
-            row += 1
-    return A
+    return tmpl.fill([np.array([g.terms.get(e, 0) for e in tmpl.src_monos[d]],
+                               dtype=np.int64)
+                      for g, d in zip(gens, GENERATOR_DEGREES)])
 
 
 def _modular_rref_pivots(A: np.ndarray, p: int, ncols: int) -> list[int]:
@@ -437,21 +446,11 @@ def solve(corrs, tmpl: EliminationTemplate) -> list[SolutionCandidate]:
 
     # generator coefficients by interpolation at the fixed point set
     vals = _generator_values(N, tmpl.interp_points)  # (10, K)
-    coeffs = {}
-    norms = np.empty(10)
-    for i in range(10):
-        c = tmpl.interp_pinv[GENERATOR_DEGREES[i]] @ vals[i]
-        coeffs[i] = c
-        norms[i] = np.linalg.norm(c)
+    coeffs = [tmpl.interp_pinv[d] @ v for d, v in zip(GENERATOR_DEGREES, vals)]
+    norms = np.array([np.linalg.norm(c) for c in coeffs])
 
     # fill and eliminate the template
-    A = np.zeros((tmpl.n_rows, tmpl.n_cols))
-    row = 0
-    for i, mults in enumerate(tmpl.schedule):
-        n = len(mults)
-        for a in range(n):
-            A[row + a, tmpl.col_maps[i][a]] = coeffs[i]
-        row += n
+    A = tmpl.fill(coeffs)
     scale = np.abs(A).max()
     if scale == 0:
         raise DegenerateDataError("all template coefficients vanish")

@@ -64,10 +64,11 @@ from distvar.models import (
     focal_from_matrix,
     model_config,
     model_ideal,
-    random_rotation,
 )
 from distvar.simulate import SceneConfig, generate_trial, run_experiment
 from distvar.solver import count_real, solve
+
+from oracles import random_rotation
 
 PRIME = 30011
 FP = GF(PRIME)

@@ -177,3 +177,16 @@ def test_non_homogeneous_ideal_under_weight_order_is_rejected(tmp_path,
                          capture_output=True, text=True, timeout=10)
     assert out.returncode == 1
     assert "homogeneous" in out.stderr
+
+
+def test_coefficient_with_denominator_divisible_by_prime(tmp_path):
+    # 1/30011 has no image in F_30011; it used to end in a
+    # ZeroDivisionError traceback instead of the typed error line
+    path = tmp_path / "ideal.txt"
+    path.write_text("x0^2 - 1/30011*x1*x2\n")
+    out = subprocess.run([sys.executable, "-m", "distvar.cli", "degree",
+                          "--ideal", str(path), "--u", "0,1,1"],
+                         capture_output=True, text=True, timeout=10)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ValueError")
+    assert "1/30011" in out.stderr and "Traceback" not in out.stderr

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from distvar.polycore import GF, GREVLEX, Polynomial, default_names, parse_polynomial
 from distvar.groebner import (
+    BudgetError,
     Ideal,
     buchberger,
     dim_degree,
@@ -26,12 +27,14 @@ from distvar.geometry import (
     iterated_decomposition,
     min_weight,
     monomial_capacity,
+    multi_distortion_generators,
     scroll_minors,
     scroll_names,
     scroll_order,
     tropical_hypersurface_degree,
     undistort_monomial,
 )
+from distvar.models import ModelId, model_config, model_ideal
 
 F = GF(30011)
 
@@ -266,3 +269,11 @@ def test_iterated_decomposition_round_trip():
 def test_iterated_decomposition_fails_on_gaps():
     cfg = MultiParamConfig.of(2, [[(0, 0), (2, 0)]])
     assert iterated_decomposition(cfg) is None
+
+
+@pytest.mark.parametrize("method", ["eliminate", "iterate"])
+def test_multi_distortion_routes_honour_pair_budget(method):
+    I = model_ideal(ModelId.F, F)
+    cfg = model_config(ModelId.F, "two_param")
+    with pytest.raises(BudgetError):
+        multi_distortion_generators(I, cfg, method, max_pairs=1)

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from distvar.polycore import GF
+from distvar.polycore import GF, RATIONAL
 from distvar.groebner import dim_degree
 from distvar.geometry import DistortionVector, MultiParamConfig
 from distvar.models import (
@@ -11,14 +13,70 @@ from distvar.models import (
     V_RIGHT,
     demazure_cubics,
     essential_matrix,
-    evaluate_model,
     focal_from_matrix,
     model_config,
     model_ideal,
-    random_rotation,
 )
 
+from oracles import random_rotation
+
 F = GF(30011)
+
+
+# ---------------------------------------------------------------------------
+# exact points on the models
+# ---------------------------------------------------------------------------
+
+def matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)]
+            for i in range(3)]
+
+
+def cayley_rotation(s):
+    """R = (I - S)(I + S)^-1 for the skew matrix S = [s]_x, exact.
+
+    (I + S)^-1 = (I - S + s s^T) / (1 + |s|^2), since S s = 0 and
+    S^2 = s s^T - |s|^2 I.
+    """
+    a, b, c = s
+    S = [[0, -c, b], [c, 0, -a], [-b, a, 0]]
+    n = Fraction(1 + a * a + b * b + c * c)
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    minus = [[eye[i][j] - S[i][j] for j in range(3)] for i in range(3)]
+    inv = [[(minus[i][j] + s[i] * s[j]) / n for j in range(3)]
+           for i in range(3)]
+    return matmul(minus, inv)
+
+
+def exact_essential(s, t):
+    """[t]_x R for the Cayley rotation of s and an integer vector t."""
+    tx = [[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0]]
+    return matmul(tx, cayley_rotation(s))
+
+
+def focal_scaling(f):
+    return [[1 / f, 0, 0], [0, 1 / f, 0], [0, 0, 1]]
+
+
+def generator_values(model, X):
+    I = model_ideal(model, RATIONAL)
+    point = [x for row in X for x in row]
+    return [g.evaluate(point) for g in I.generators]
+
+
+#: (s, t, f): skew parameters, translation and focal length
+EXACT_SCENES = [((1, 2, 3), (1, -2, 3), Fraction(3, 2)),
+                ((-2, 1, 0), (2, 0, -1), Fraction(2, 5)),
+                ((0, -1, 4), (-1, 3, 1), Fraction(7))]
+
+
+def test_cayley_rotation_is_special_orthogonal():
+    for s, _, _ in EXACT_SCENES:
+        R = cayley_rotation(s)
+        Rt = [list(col) for col in zip(*R)]
+        assert matmul(R, Rt) == [[int(i == j) for j in range(3)]
+                                 for i in range(3)]
+        assert generator_values(ModelId.F, R) == [1]  # det R
 
 
 # ---------------------------------------------------------------------------
@@ -49,30 +107,30 @@ def test_one_sided_focal_dim_degree():
 
 
 def test_demazure_cubics_vanish_on_essential_matrices():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        E = essential_matrix(random_rotation(rng), rng.normal(size=3))
-        assert evaluate_model(ModelId.E, E) < 1e-12
+    for s, t, _ in EXACT_SCENES:
+        E = exact_essential(s, t)
+        assert set(generator_values(ModelId.E, E)) == {0}
+        assert set(generator_values(ModelId.F, E)) == {0}
 
 
 def test_focal_models_vanish_on_scaled_essentials():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        E = essential_matrix(random_rotation(rng), rng.normal(size=3))
-        f = rng.uniform(0.5, 2.5)
-        K = np.diag([1.0 / f, 1.0 / f, 1.0])
-        assert evaluate_model(ModelId.G, K @ E @ K) < 1e-12
-        assert evaluate_model(ModelId.GPRIME, E @ K) < 1e-12
-        assert evaluate_model(ModelId.GDOUBLEPRIME, K @ E) < 1e-12
+    for s, t, f in EXACT_SCENES:
+        E = exact_essential(s, t)
+        K = focal_scaling(f)
+        assert set(generator_values(ModelId.G, matmul(matmul(K, E), K))) == {0}
+        assert set(generator_values(ModelId.GPRIME, matmul(E, K))) == {0}
+        assert set(generator_values(ModelId.GDOUBLEPRIME, matmul(K, E))) == {0}
 
 
 def test_focal_models_distinguish_sides():
-    rng = np.random.default_rng(3)
-    E = essential_matrix(random_rotation(rng), rng.normal(size=3))
-    K = np.diag([0.5, 0.5, 1.0])
-    # the left-focal matrix does not satisfy the right-focal equations
-    assert evaluate_model(ModelId.GPRIME, K @ E) > 1e-6
-    assert evaluate_model(ModelId.GDOUBLEPRIME, E @ K) > 1e-6
+    for s, t, f in EXACT_SCENES:
+        E = exact_essential(s, t)
+        K = focal_scaling(f)
+        # each one-sided focal matrix fails the other side's equations,
+        # and neither is essential
+        assert set(generator_values(ModelId.GPRIME, matmul(K, E))) != {0}
+        assert set(generator_values(ModelId.GDOUBLEPRIME, matmul(E, K))) != {0}
+        assert set(generator_values(ModelId.E, matmul(K, E))) != {0}
 
 
 # ---------------------------------------------------------------------------

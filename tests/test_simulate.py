@@ -8,11 +8,12 @@ from distvar.simulate import (
     ExperimentStats,
     SceneConfig,
     apply_division_distortion,
-    epipolar_residual,
     generate_trial,
     run_experiment,
     run_trial,
 )
+
+from oracles import epipolar_residual
 
 
 # ---------------------------------------------------------------------------

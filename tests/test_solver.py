@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distvar.polycore import GF
+from distvar.polycore import RATIONAL
 from distvar.solver import (
     BASIS_GAMMA,
     BASIS_MONOMIALS,
@@ -11,6 +11,7 @@ from distvar.solver import (
     EliminationTemplate,
     GENERATOR_DEGREES,
     TemplateError,
+    _generator_values,
     coefficient_matrix,
     count_real,
     epipolar_coefficients,
@@ -72,10 +73,15 @@ def test_nullspace_rejects_degenerate_input():
 
 def test_generator_degrees():
     rng = np.random.default_rng(0)
-    N = rng.normal(size=(12, 5))
-    gens = generator_polynomials(N)
+    N = rng.integers(-9, 10, size=(12, 5))
+    gens = generator_polynomials(N, RATIONAL)
     assert tuple(g.total_degree() for g in gens) == GENERATOR_DEGREES
     assert all(g.nvars == 4 for g in gens)
+    # the exact polynomials and solve's numeric evaluation agree; every
+    # value here is an integer below 2^53, so the float one is exact
+    pt = [2, -1, 3, 1]
+    vals = _generator_values(N, np.array([pt], dtype=float))[:, 0]
+    assert [g.evaluate(pt) for g in gens] == list(vals)
 
 
 def test_generators_vanish_at_truth():
@@ -83,10 +89,9 @@ def test_generators_vanish_at_truth():
     N = nullspace_basis(coefficient_matrix(corrs))
     coef, *_ = np.linalg.lstsq(N, truth.m, rcond=None)
     gamma = coef[:4] / coef[4]
-    gens = generator_polynomials(N)
-    for g in gens:
-        val = g.evaluate(list(gamma))
-        assert abs(val) < 1e-8 * (1 + np.max(np.abs(gamma))) ** g.total_degree()
+    vals = _generator_values(N, gamma[None, :])[:, 0]
+    for val, d in zip(vals, GENERATOR_DEGREES):
+        assert abs(val) < 1e-8 * (1 + np.max(np.abs(gamma))) ** d
 
 
 def test_monomials_up_to():
@@ -116,6 +121,23 @@ def test_template_shape(template):
     assert template.n_cols == 126
     assert len(template.basis) == 23
     validate_template(template)  # raises on failure
+
+
+def test_template_fill_matches_row_loop(template):
+    # reference: row by row, multiplier monomial times source monomial
+    rng = np.random.default_rng(4)
+    coeffs = [rng.normal(size=len(template.src_monos[d]))
+              for d in GENERATOR_DEGREES]
+    col = {e: j for j, e in enumerate(template.columns)}
+    A = np.zeros((template.n_rows, template.n_cols))
+    row = 0
+    for c, d, mults in zip(coeffs, GENERATOR_DEGREES, template.schedule):
+        for em in mults:
+            for ci, es in zip(c, template.src_monos[d]):
+                A[row, col[tuple(x + y for x, y in zip(em, es))]] = ci
+            row += 1
+    assert row == template.n_rows
+    assert np.array_equal(template.fill(coeffs), A)
 
 
 def test_validate_rejects_template_missing_rows(template):
