@@ -13,6 +13,18 @@ Each subcommand takes only the flags it reads: --prime (the working
 prime field) for model, distort and degree; --max-pairs (the Buchberger
 pair budget) for distort and degree; --seed for simulate; --json for all.
 
+--config takes every configuration that models.model_config offers:
+u_both and v_right (one distortion parameter) and two_param and
+four_param (several).  distort and degree run a multi-parameter
+configuration through the eliminate route; degree then reports its
+(dimension, degree), and degree --bound, which has a formula only for
+one parameter, exits 1.  cayley takes a one-parameter configuration as
+the Cayley configuration with r = 1.
+
+Model ideals and --ideal files are read over Q and mapped into F_p;
+a prime that kills a nonzero coefficient (p = 2 for E) exits 1 rather
+than compute with another variety.
+
 Exit codes: 0 success, 1 computation error, 2 usage error.
 """
 
@@ -25,12 +37,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .polycore import (DEFAULT_PRIME, GF, default_names, format_polynomial,
-                       parse_polynomial)
-from .groebner import BudgetError, DEFAULT_MAX_PAIRS, Ideal
-from .geometry import (DistortionVector, cayley_ideal, cayley_parametrization,
-                       degree_bound, distortion_degree,
-                       distortion_ideal_generators, iterated_decomposition)
+from .polycore import (DEFAULT_PRIME, GF, RATIONAL, default_names,
+                       format_polynomial, parse_polynomial)
+from .groebner import BudgetError, DEFAULT_MAX_PAIRS, Ideal, dim_degree
+from .geometry import (DistortionVector, MultiParamConfig, cayley_ideal,
+                       cayley_parametrization, degree_bound, distortion_degree,
+                       distortion_ideal_generators, iterated_decomposition,
+                       multi_distortion_generators, scroll_names)
 from .models import (MODEL_DIM_DEGREE, ModelId, VAR_NAMES, model_config,
                      model_ideal)
 from .solver import (Correspondence, DegenerateDataError, TemplateError,
@@ -52,20 +65,19 @@ def _parse_u(text: str) -> DistortionVector:
 
 
 def _load_ideal(path: str, nvars: int, prime: int) -> Ideal:
-    domain = GF(prime)
-    names = default_names(nvars)
+    """The file's polynomials, read over Q and mapped into F_prime."""
     gens = []
     try:
         with open(path) as fh:
             for line in fh:
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    gens.append(parse_polynomial(line, nvars, domain, names))
+                    gens.append(parse_polynomial(line, nvars, RATIONAL))
     except OSError as exc:
         raise ComputationError(str(exc))
     if not gens:
         raise ComputationError(f"no polynomials found in {path}")
-    return Ideal(gens, nvars, domain)
+    return Ideal(gens, nvars, RATIONAL).over(GF(prime))
 
 
 def _model_or_file(args, prime: int):
@@ -106,15 +118,20 @@ def cmd_model(args) -> dict:
 
 def cmd_distort(args) -> dict:
     ideal, u, names = _model_or_file(args, args.prime)
-    gens = distortion_ideal_generators(ideal, u,
-                                       max_pairs=args.max_pairs).generators
-    from .geometry import scroll_names
-    out_names = scroll_names(u, names)
+    if isinstance(u, MultiParamConfig):
+        J = multi_distortion_generators(ideal, u, "eliminate", args.max_pairs)
+        report = {"r": u.r}
+        out_names = default_names(J.nvars)
+    else:
+        J = distortion_ideal_generators(ideal, u, max_pairs=args.max_pairs)
+        report = {"u": list(u.entries)}
+        out_names = scroll_names(u, names)
+    gens = J.generators
     by_degree: dict[int, int] = {}
     for g in gens:
         by_degree[g.total_degree()] = by_degree.get(g.total_degree(), 0) + 1
-    report = {"u": list(u.entries), "n_generators": len(gens),
-              "count_by_degree": {str(k): v for k, v in sorted(by_degree.items())}}
+    report["n_generators"] = len(gens)
+    report["count_by_degree"] = {str(k): v for k, v in sorted(by_degree.items())}
     if args.gens:
         report["generators"] = [format_polynomial(g, out_names) for g in gens]
     return report
@@ -122,9 +139,15 @@ def cmd_distort(args) -> dict:
 
 def cmd_degree(args) -> dict:
     ideal, u, _ = _model_or_file(args, args.prime)
+    if isinstance(u, MultiParamConfig):
+        if args.bound:
+            raise ComputationError(f"no degree bound for {u.r} distortion "
+                                   "parameters, only for one")
+        J = multi_distortion_generators(ideal, u, "eliminate", args.max_pairs)
+        dim, deg = dim_degree(J, max_pairs=args.max_pairs)
+        return {"r": u.r, "dimension": dim, "degree": deg}
     report = {"u": list(u.entries)}
     if args.bound:
-        from .groebner import dim_degree
         dim, deg = dim_degree(ideal, max_pairs=args.max_pairs)
         codim = ideal.nvars - 1 - dim
         report["bound"] = degree_bound(deg, codim, u)
@@ -137,6 +160,8 @@ def cmd_cayley(args) -> dict:
     if not args.model or not args.config:
         raise ComputationError("cayley needs --model and --config")
     cfg = model_config(ModelId(args.model), args.config)
+    if isinstance(cfg, DistortionVector):
+        cfg = MultiParamConfig.from_distortion_vector(cfg)
     A = cayley_parametrization(cfg)
     report = {"r": cfg.r, "exponent_matrix": [list(row) for row in A]}
     if args.gens:

@@ -7,7 +7,10 @@ The ambient space is P^N with N = |u| + n, and the closure of the image
 of P^n x C is the rational normal scroll S_u cut out by the 2x2 minors
 of a concatenated Hankel matrix.  A projective variety X in P^n lifts
 to its distortion variety X_[u] = closure of {(x, lambda) distorted},
-of dimension dim X + 1.
+of dimension dim X + 1.  Its degree comes from the monomial ideal
+in_{-u}(X) alone: the ideal of X is homogeneous, so in_{-u}(X) has the
+Hilbert function of X and gives dim X as well as the saturations that
+the degree formula sums over.
 
 Conventions.  Standard monomials follow the fill-from-back rule: extra
 lambda-weight is pushed into the highest-indexed groups first, and
@@ -30,7 +33,6 @@ from .groebner import (
     DEFAULT_MAX_PAIRS,
     Ideal,
     buchberger,
-    dim_degree,
     hilbert_dim_degree,
     image_ideal,
     initial_ideal,
@@ -86,12 +88,10 @@ class DistortionVector:
         return [(j, a) for j, uj in enumerate(self.entries) for a in range(uj)]
 
 
-def scroll_names(u, base_names=None) -> list[str]:
+def scroll_names(u, base_names) -> list[str]:
     """Ambient coordinate names: x_{j,0} keeps the base name, higher
     lambda-powers get an _a suffix."""
     u = DistortionVector.of(u)
-    if base_names is None:
-        base_names = [f"x{j}" for j in range(u.n + 1)]
     names = []
     for j, uj in enumerate(u.entries):
         names.append(base_names[j])
@@ -266,13 +266,15 @@ def distortion_degree(I: Ideal, u, max_pairs: int = DEFAULT_MAX_PAIRS) -> int:
 
     Sums u_j times the degree of in_{-u}(X) : <x_j>^inf over all j,
     counting only saturations whose dimension equals dim X (lower
-    dimensional components do not contribute to the Chow cycle).
+    dimensional components do not contribute to the Chow cycle).  I is
+    homogeneous (the weight order rejects anything else), so in_{-u}(X)
+    has the Hilbert function of X and gives dim X as well.
     """
     u = DistortionVector.of(u)
     if u.n + 1 != I.nvars:
         raise ValueError("distortion vector length does not match the ring")
-    dim_x, _ = dim_degree(I, max_pairs=max_pairs)
     M = initial_ideal(I, u.entries, max_pairs)
+    dim_x = hilbert_dim_degree(M).projective_dimension
     total = 0
     for j, uj in enumerate(u.entries):
         if uj == 0:
@@ -332,19 +334,6 @@ class MultiParamConfig:
         u = DistortionVector.of(u)
         return cls(1, tuple(tuple((a,) for a in range(uj + 1))
                             for uj in u.entries))
-
-    @property
-    def n(self) -> int:
-        return len(self.groups) - 1
-
-    @property
-    def total(self) -> int:
-        return sum(len(gi) for gi in self.groups)
-
-    @property
-    def ambient_nvars(self) -> int:
-        """N + 1 = |u|."""
-        return self.total
 
 
 def cayley_parametrization(cfg: MultiParamConfig) -> list[list[int]]:
@@ -409,23 +398,18 @@ def flatten_second_level(v, w) -> DistortionVector:
     return DistortionVector(tuple(flat))
 
 
-def multi_distortion_generators(I: Ideal, cfg: MultiParamConfig,
-                                method: str = "auto",
+def multi_distortion_generators(I: Ideal, cfg: MultiParamConfig, method: str,
                                 max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
     """Generators of the multi-parameter distortion variety X_[u].
 
     method "eliminate" implicitizes the image of V(I) under the Cayley
     map; "iterate" uses the decomposition X_[u] = (X_[v])_[w] and
-    requires a two-parameter initial-segment configuration; "auto"
-    prefers the iterated route when it applies.  ``max_pairs`` bounds
-    each Buchberger run of either route.
+    requires a two-parameter initial-segment configuration.  The two
+    routes are each other's oracle.  ``max_pairs`` bounds each Buchberger
+    run of either route.
     """
     if len(cfg.groups) != I.nvars:
         raise ValueError("configuration length does not match the ring")
-    if method == "auto":
-        dec = iterated_decomposition(cfg) if cfg.r == 2 else None
-        method = "iterate" if (dec is not None and all(dec[0])) else "eliminate"
-
     if method == "iterate":
         dec = iterated_decomposition(cfg)
         if dec is None:

@@ -58,15 +58,29 @@ class Ideal:
             if g.domain != self.domain:
                 raise ValueError("generator in wrong domain")
 
+    def over(self, domain) -> "Ideal":
+        """The ideal with its rational coefficients mapped into ``domain``.
+
+        Raises ValueError when a nonzero coefficient maps to zero: the
+        image would define another variety, so results computed from it
+        would depend on the prime.
+        """
+        gens = []
+        for g in self.generators:
+            terms = {}
+            for m, c in g.terms.items():
+                terms[m] = domain.coerce(c)
+                if domain.is_zero(terms[m]):
+                    raise ValueError(f"coefficient {c} vanishes in {domain!r}, "
+                                     "which would change the variety")
+            gens.append(Polynomial(terms, self.nvars, domain, _clean=True))
+        return Ideal(gens, self.nvars, domain)
+
 
 @dataclass
 class GroebnerBasis:
     elements: list[Polynomial]
     order: TermOrder
-
-    @property
-    def nvars(self) -> int:
-        return self.elements[0].nvars if self.elements else 0
 
     @cached_property
     def reducers(self) -> list[tuple]:
@@ -358,7 +372,6 @@ def saturate_variable(M: MonomialIdeal, j: int) -> MonomialIdeal:
 
 @dataclass(frozen=True)
 class HilbertData:
-    numerator: tuple[int, ...]      # coefficients of the power of t
     projective_dimension: int       # -1 for the empty scheme
     degree: int
 
@@ -431,12 +444,11 @@ def hilbert_dim_degree(M: MonomialIdeal) -> HilbertData:
 
     The unit ideal reports dimension -1 and degree 0.
     """
-    num = _hilbert_numerator(M.gens, {})
-    while num and num[-1] == 0:
-        num.pop()
-    if not num:
-        return HilbertData((0,), -1, 0)
-    q = list(num)
+    q = _hilbert_numerator(M.gens, {})
+    while q and q[-1] == 0:
+        q.pop()
+    if not q:
+        return HilbertData(-1, 0)
     c = 0
     while sum(q) == 0:
         # divide by (1 - t)
@@ -447,13 +459,12 @@ def hilbert_dim_degree(M: MonomialIdeal) -> HilbertData:
             out[i] = acc
         q = out
         c += 1
-    return HilbertData(tuple(num), M.nvars - 1 - c, sum(q))
+    return HilbertData(M.nvars - 1 - c, sum(q))
 
 
-def dim_degree(I: Ideal, order: TermOrder = GREVLEX,
-               max_pairs: int = DEFAULT_MAX_PAIRS) -> tuple[int, int]:
+def dim_degree(I: Ideal, max_pairs: int = DEFAULT_MAX_PAIRS) -> tuple[int, int]:
     """(projective dimension, degree) of V(I) via a grevlex initial ideal."""
-    gb = buchberger(I, order, max_pairs)
+    gb = buchberger(I, GREVLEX, max_pairs)
     M = leading_ideal(gb, I.nvars)
     h = hilbert_dim_degree(M)
     return h.projective_dimension, h.degree
@@ -505,8 +516,7 @@ def image_ideal(A: list[list[int]], relations, domain,
     return eliminate(Ideal(gens, nv, domain), t, max_pairs)
 
 
-def toric_ideal(A: list[list[int]], domain=None,
-                max_pairs: int = DEFAULT_MAX_PAIRS) -> Ideal:
+def toric_ideal(A: list[list[int]], domain=None) -> Ideal:
     """Prime toric ideal of the monomial parametrization with exponent matrix A.
 
     Columns of A are the non-negative exponent vectors; the row space of A
@@ -518,7 +528,7 @@ def toric_ideal(A: list[list[int]], domain=None,
 
     if domain is None:
         domain = RATIONAL
-    I = image_ideal(A, [], domain, max_pairs)
+    I = image_ideal(A, [], domain)
     if not all(g.is_homogeneous() for g in I.generators):
         raise ValueError("configuration is not homogeneous "
                          "(all-ones vector not in the row space)")

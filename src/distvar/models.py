@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polycore import GF, Polynomial, parse_polynomial
+from .polycore import GF, RATIONAL, Polynomial, parse_polynomial
 from .groebner import Ideal
 from .geometry import DistortionVector, MultiParamConfig
 
@@ -99,9 +99,9 @@ QUINTIC_TEXT = (
 )
 
 
-def matrix_variables(domain):
-    """3x3 nested list of the coordinate variables x11..x33."""
-    return [[Polynomial.variable(3 * i + j, 9, domain) for j in range(3)]
+def matrix_variables():
+    """3x3 nested list of the coordinate variables x11..x33 over Q."""
+    return [[Polynomial.variable(3 * i + j, 9) for j in range(3)]
             for i in range(3)]
 
 
@@ -111,10 +111,10 @@ def _det3(A):
             + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0]))
 
 
-def demazure_cubics(domain) -> list[Polynomial]:
-    """The nine entries of 2 x x^T x - trace(x x^T) x."""
-    X = matrix_variables(domain)
-    zero = Polynomial.zero(9, domain)
+def demazure_cubics() -> list[Polynomial]:
+    """The nine entries of 2 x x^T x - trace(x x^T) x, over Q."""
+    X = matrix_variables()
+    zero = Polynomial.zero(9)
     XXt = [[sum((X[i][k] * X[j][k] for k in range(3)), zero)
             for j in range(3)] for i in range(3)]
     tr = XXt[0][0] + XXt[1][1] + XXt[2][2]
@@ -123,7 +123,7 @@ def demazure_cubics(domain) -> list[Polynomial]:
     return [2 * M[i][j] - tr * X[i][j] for i in range(3) for j in range(3)]
 
 
-def _bordered_minors(domain, transposed: bool) -> list[Polynomial]:
+def _bordered_minors(transposed: bool) -> list[Polynomial]:
     """Four maximal minors of x bordered with the row-dot-product column.
 
     With ``transposed`` False the column is built from dot products of
@@ -132,10 +132,10 @@ def _bordered_minors(domain, transposed: bool) -> list[Polynomial]:
     swaps the variable roles x_ij -> x_ji and describes the
     right-focal model x = E diag(1/f,1/f,1).
     """
-    X = matrix_variables(domain)
+    X = matrix_variables()
     if transposed:
         X = [[X[j][i] for j in range(3)] for i in range(3)]
-    zero = Polynomial.zero(9, domain)
+    zero = Polynomial.zero(9)
     col4 = [sum((X[1][k] * X[2][k] for k in range(3)), zero),
             -sum((X[0][k] * X[2][k] for k in range(3)), zero),
             zero]
@@ -148,22 +148,27 @@ def _bordered_minors(domain, transposed: bool) -> list[Polynomial]:
 
 
 def model_ideal(model: ModelId, domain=None) -> Ideal:
-    """Defining ideal of the model in the 9 matrix coordinates."""
+    """Defining ideal of the model in the 9 matrix coordinates, built over
+    Q and mapped into ``domain`` (default F_p at the default prime).
+
+    Raises ValueError for a prime that kills a coefficient (p = 2 for E
+    and G): the image would define another variety.
+    """
     if domain is None:
         domain = GF()
     model = ModelId(model)
-    det = parse_polynomial(DET_TEXT, 9, domain, VAR_NAMES)
+    det = parse_polynomial(DET_TEXT, 9, RATIONAL, VAR_NAMES)
     if model is ModelId.F:
         gens = [det]
     elif model is ModelId.E:
-        gens = [det] + demazure_cubics(domain)
+        gens = [det] + demazure_cubics()
     elif model is ModelId.G:
-        gens = [det, parse_polynomial(QUINTIC_TEXT, 9, domain, VAR_NAMES)]
+        gens = [det, parse_polynomial(QUINTIC_TEXT, 9, RATIONAL, VAR_NAMES)]
     elif model is ModelId.GPRIME:
-        gens = _bordered_minors(domain, transposed=True)
+        gens = _bordered_minors(transposed=True)
     else:
-        gens = _bordered_minors(domain, transposed=False)
-    return Ideal(gens, 9, domain)
+        gens = _bordered_minors(transposed=False)
+    return Ideal(gens, 9, RATIONAL).over(domain)
 
 
 def model_config(model: ModelId, which: str):

@@ -305,9 +305,6 @@ class Polynomial:
         kf = order.key_fn(self.nvars)
         return max(self.terms, key=kf)
 
-    def leading_coefficient(self, order: TermOrder = GREVLEX):
-        return self.terms[self.leading_monomial(order)]
-
     def __eq__(self, other):
         return (isinstance(other, Polynomial) and self.nvars == other.nvars
                 and self.domain == other.domain and self.terms == other.terms)
@@ -381,23 +378,10 @@ class Polynomial:
         return Polynomial({m: dom.mul(v, c) for m, v in self.terms.items()},
                           self.nvars, dom, _clean=True)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(1, self.nvars, self.domain)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def monic(self, order: TermOrder = GREVLEX) -> "Polynomial":
         if not self.terms:
             return self
-        return self.scale(self.domain.inv(self.leading_coefficient(order)))
+        return self.scale(self.domain.inv(self.terms[self.leading_monomial(order)]))
 
     # -- structural maps ----------------------------------------------------
 
@@ -433,20 +417,6 @@ class Polynomial:
                     term = term * img_pow(i, e)
             out = out + term
         return out
-
-    def evaluate(self, point: Sequence) -> object:
-        """Evaluate at a point, in the arithmetic of its coordinates (an
-        F_p value comes back unreduced)."""
-        if len(point) != self.nvars:
-            raise DimensionError("point length mismatch")
-        total = None
-        for m, c in self.terms.items():
-            v = c
-            for x, e in zip(point, m):
-                for _ in range(e):
-                    v = v * x
-            total = v if total is None else total + v
-        return 0 if total is None else total
 
     def extend_ring(self, nvars: int, var_map: Sequence[int]) -> "Polynomial":
         """Reembed into a ring with ``nvars`` variables, old var i -> var_map[i]."""
@@ -490,13 +460,13 @@ def default_names(nvars: int) -> list[str]:
     return [f"x{i}" for i in range(nvars)]
 
 
-def format_polynomial(p: Polynomial, names: Sequence[str] | None = None,
-                      order: TermOrder = GREVLEX) -> str:
+def format_polynomial(p: Polynomial, names: Sequence[str] | None = None) -> str:
+    """Terms in descending grevlex order."""
     if p.is_zero():
         return "0"
     if names is None:
         names = default_names(p.nvars)
-    kf = order.key_fn(p.nvars)
+    kf = GREVLEX.key_fn(p.nvars)
     parts = []
     for m in sorted(p.terms, key=kf, reverse=True):
         c = p.terms[m]
@@ -517,30 +487,26 @@ def format_polynomial(p: Polynomial, names: Sequence[str] | None = None,
     return " ".join(parts)
 
 
-def parse_polynomial(text: str, nvars: int | None = None, domain=RATIONAL,
+def parse_polynomial(text: str, nvars: int, domain=RATIONAL,
                      names: Sequence[str] | None = None) -> Polynomial:
     """Parse the ``coeff*x0^a0*...`` sum-of-terms format.
 
-    Variable tokens are ``x<i>`` by default, or any of ``names`` if given.
-    If ``nvars`` is omitted it is inferred from the largest index seen
-    (names given: their count).
+    Variable tokens are ``names``, by default ``x0`` .. ``x<nvars-1>``.
     """
     import re
 
-    name_idx = None
-    if names is not None:
-        name_idx = {n: i for i, n in enumerate(names)}
-        if nvars is None:
-            nvars = len(names)
+    if names is None:
+        names = default_names(nvars)
+    if len(names) != nvars:
+        raise DimensionError(f"{len(names)} names for a {nvars}-variable ring")
+    name_idx = {n: i for i, n in enumerate(names)}
 
     text = text.replace("-", "+-").replace(" ", "")
-    chunks = [c for c in text.split("+") if c]
-    raw_terms: list[tuple[dict[int, int], Fraction]] = []
-    max_idx = -1
     tok = re.compile(r"([A-Za-z_][A-Za-z_0-9]*?)(?:\^(\d+))?$")
-    for chunk in chunks:
+    terms: dict[Exponent, Fraction] = {}
+    for chunk in (c for c in text.split("+") if c):
         coeff = Fraction(1)
-        exps: dict[int, int] = {}
+        e = [0] * nvars
         for factor in chunk.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {chunk!r}")
@@ -556,28 +522,10 @@ def parse_polynomial(text: str, nvars: int | None = None, domain=RATIONAL,
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
             base, exp = m.group(1), int(m.group(2) or 1)
-            if name_idx is not None:
-                if base not in name_idx:
-                    raise ValueError(f"unknown variable {base!r}")
-                idx = name_idx[base]
-            else:
-                vm = re.fullmatch(r"x(\d+)", base)
-                if not vm:
-                    raise ValueError(f"unknown variable {base!r}")
-                idx = int(vm.group(1))
+            if base not in name_idx:
+                raise ValueError(f"unknown variable {base!r}")
             coeff *= sign
-            exps[idx] = exps.get(idx, 0) + exp
-            max_idx = max(max_idx, idx)
-        raw_terms.append((exps, coeff))
-    if nvars is None:
-        nvars = max_idx + 1 if max_idx >= 0 else 1
-    terms: dict[Exponent, Fraction] = {}
-    for exps, coeff in raw_terms:
-        e = [0] * nvars
-        for i, x in exps.items():
-            if i >= nvars:
-                raise DimensionError(f"variable x{i} outside {nvars}-variable ring")
-            e[i] = x
+            e[name_idx[base]] += exp
         m = tuple(e)
         terms[m] = terms.get(m, Fraction(0)) + coeff
     return Polynomial(terms, nvars, domain)

@@ -3,10 +3,12 @@
 Scenes consist of 3D points in the cube [-10,10]^3 observed by two
 cameras placed 20 to 40 units away: a "left" camera with unknown focal
 length f in [0.5, 2.5] and a "right" camera with f = 1 and one-parameter
-division-model radial distortion, lambda in [-0.7, 0].  The distorted
-camera feeds the U1 slot of the solver; optional Gaussian pixel noise
-is added to both images.  The harness aggregates real-root counts,
-real-focal counts and best-candidate errors over many trials.
+division-model radial distortion, lambda in [-0.7, 0].  These ranges
+are module constants; a SceneConfig sets only the trial count, the
+pixel noise (on a 1000 px image scale), the motion model and the seed.
+The distorted camera feeds the U1 slot of the solver; optional Gaussian
+pixel noise is added to both images.  The harness aggregates real-root
+counts, real-focal counts and best-candidate errors over many trials.
 """
 
 from __future__ import annotations
@@ -29,19 +31,21 @@ N_SOLUTIONS = 23
 #: both cameras see
 MAX_RESAMPLE = 200
 
+#: the scene ranges of the module docstring; noise_sigma_px is in pixels
+#: of an IMAGE_SCALE_PX image, and sideways cameras jitter by ROT_NOISE_DEG
+CUBE_HALF_WIDTH = 10.0
+DISTANCE_RANGE = (20.0, 40.0)
+F_LEFT_RANGE = (0.5, 2.5)
+LAMBDA_RANGE = (-0.7, 0.0)
+IMAGE_SCALE_PX = 1000.0
+ROT_NOISE_DEG = 0.01
+
 
 @dataclass(frozen=True)
 class SceneConfig:
     n_trials: int = 20000
-    cube_half_width: float = 10.0
-    distance_range: tuple[float, float] = (20.0, 40.0)
-    f_left_range: tuple[float, float] = (0.5, 2.5)
-    f_right: float = 1.0
-    lambda_range: tuple[float, float] = (-0.7, 0.0)
     noise_sigma_px: float = 0.0
-    image_scale_px: float = 1000.0
     motion: str = "generic"
-    rot_noise_deg: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
@@ -54,9 +58,7 @@ class SceneConfig:
 @dataclass
 class GroundTruth:
     R1: np.ndarray
-    t1: np.ndarray
     R2: np.ndarray
-    t2: np.ndarray
     f: float
     lam: float
     X: np.ndarray          # diag(1/f,1/f,1) E, the model matrix
@@ -65,14 +67,10 @@ class GroundTruth:
 
 @dataclass
 class TrialResult:
-    truth: GroundTruth
     n_real_variety: int
     n_real_f: int
     log10_err_lambda: float
     log10_err_f: float
-    best_lambda: float
-    best_f: float
-    failed: bool = False
 
 
 @dataclass
@@ -188,12 +186,12 @@ def _small_rotation(axis_angle_deg: float, rng: np.random.Generator) -> np.ndarr
 def _camera_pair(cfg: SceneConfig, rng: np.random.Generator):
     """Two (R, center) world-to-camera poses per the motion model."""
     def sample_pose():
-        d = rng.uniform(*cfg.distance_range)
+        d = rng.uniform(*DISTANCE_RANGE)
         dirv = rng.normal(size=3)
         dirv /= np.linalg.norm(dirv)
         c = d * dirv
         # cameras look at the scene, not exactly at its center
-        target = rng.uniform(-cfg.cube_half_width, cfg.cube_half_width, size=3)
+        target = rng.uniform(-CUBE_HALF_WIDTH, CUBE_HALF_WIDTH, size=3)
         return _look_at(c, target, rng), c
 
     R1, c1 = sample_pose()
@@ -203,8 +201,8 @@ def _camera_pair(cfg: SceneConfig, rng: np.random.Generator):
         lateral = R1[0]  # the camera's x-axis in world coordinates
         baseline = rng.uniform(0.25, 2.0) * rng.choice([-1.0, 1.0])
         c2 = c1 + baseline * lateral
-        R2 = _small_rotation(cfg.rot_noise_deg, rng) @ R1
-        R1 = _small_rotation(cfg.rot_noise_deg, rng) @ R1
+        R2 = _small_rotation(ROT_NOISE_DEG, rng) @ R1
+        R1 = _small_rotation(ROT_NOISE_DEG, rng) @ R1
     return (R1, c1), (R2, c2)
 
 
@@ -216,9 +214,9 @@ def generate_trial(cfg: SceneConfig, trial_index: int):
     """
     rng = np.random.default_rng([cfg.seed, trial_index])
     (R1, c1), (R2, c2) = _camera_pair(cfg, rng)
-    f = rng.uniform(*cfg.f_left_range)
-    lam = rng.uniform(*cfg.lambda_range)
-    sigma = cfg.noise_sigma_px / cfg.image_scale_px
+    f = rng.uniform(*F_LEFT_RANGE)
+    lam = rng.uniform(*LAMBDA_RANGE)
+    sigma = cfg.noise_sigma_px / IMAGE_SCALE_PX
 
     corrs = []
     attempts = 0
@@ -226,7 +224,7 @@ def generate_trial(cfg: SceneConfig, trial_index: int):
         attempts += 1
         if attempts > MAX_RESAMPLE:
             raise DegenerateDataError("could not sample visible scene points")
-        P = rng.uniform(-cfg.cube_half_width, cfg.cube_half_width, size=3)
+        P = rng.uniform(-CUBE_HALF_WIDTH, CUBE_HALF_WIDTH, size=3)
         y1 = R1 @ (P - c1)
         y2 = R2 @ (P - c2)
         if y1[2] <= 1e-6 or y2[2] <= 1e-6:
@@ -250,7 +248,7 @@ def generate_trial(cfg: SceneConfig, trial_index: int):
     m = np.empty(12)
     m[[0, 1, 2, 4, 5, 6, 8, 9, 10]] = X.reshape(9)
     m[[3, 7, 11]] = lam * X[:, 2]
-    truth = GroundTruth(R1, -R1 @ c1, R2, -R2 @ c2, f, lam, X, m)
+    truth = GroundTruth(R1, R2, f, lam, X, m)
     return corrs, truth
 
 
@@ -279,7 +277,7 @@ def run_trial(cfg: SceneConfig, trial_index: int,
         err_l = math.log10(max(abs(best_l - truth.lam)
                                / max(abs(truth.lam), 1e-12), 1e-300))
         err_f = math.log10(max(abs(best_f - truth.f) / truth.f, 1e-300))
-    return TrialResult(truth, n_real, n_f, err_l, err_f, best_l, best_f)
+    return TrialResult(n_real, n_f, err_l, err_f)
 
 
 def run_experiment(cfg: SceneConfig,

@@ -397,7 +397,6 @@ class SolutionCandidate:
     gamma: tuple[complex, complex, complex, complex]
     residual: float
     is_real: bool
-    m: np.ndarray | None = None
     F: np.ndarray | None = None
     lam: float | None = None
     f_squared: float | None = None
@@ -437,8 +436,8 @@ def _rref_partial(A: np.ndarray, ncols: int):
 def solve(corrs, tmpl: EliminationTemplate) -> list[SolutionCandidate]:
     """All 23 solution candidates for 7 correspondences.
 
-    Real candidates carry the reconstructed monomial vector m, the
-    matrix F, the distortion lambda and the squared focal length.
+    Real candidates carry the matrix F, the distortion lambda and the
+    squared focal length.
     """
     C = coefficient_matrix(corrs)
     N = nullspace_basis(C)
@@ -503,7 +502,7 @@ def solve(corrs, tmpl: EliminationTemplate) -> list[SolutionCandidate]:
             except ZeroDivisionError:
                 f2 = None
             cands.append(SolutionCandidate(tuple(map(complex, gamma)),
-                                           residual, True, mvec, F, lam, f2))
+                                           residual, True, F, lam, f2))
         else:
             cands.append(SolutionCandidate(tuple(map(complex, gamma)),
                                            residual, False))
@@ -556,8 +555,9 @@ def _batch_eval(tmpl, coeff_mat, norm_mat, G, with_jac: bool):
     return F, J, R
 
 
-def _refine_all(tmpl, coeffs, norms, G, steps: int = 15):
-    """Batched Gauss-Newton on the ten generators for all candidates.
+def _refine_all(tmpl, coeffs, norms, G):
+    """Batched Gauss-Newton, 15 steps, on the ten generators for all
+    candidates.
 
     Returns the refined points and their normalized residuals; each
     candidate keeps its best iterate."""
@@ -571,7 +571,7 @@ def _refine_all(tmpl, coeffs, norms, G, steps: int = 15):
     best_g = G.copy()
     best_r = np.full(G.shape[0], np.inf)
     active = np.ones(G.shape[0], dtype=bool)
-    for _ in range(steps):
+    for _ in range(15):
         if not active.any():
             break
         Ga = G[active]

@@ -1,8 +1,44 @@
-"""Numeric oracles shared by the tests; the package itself never needs them."""
+"""Oracles shared by the tests; the package itself never needs them."""
 
 import numpy as np
 
+from distvar.polycore import DimensionError, Polynomial
 from distvar.solver import epipolar_coefficients
+
+
+def power(p: Polynomial, n: int) -> Polynomial:
+    """p^n by repeated squaring."""
+    if n < 0:
+        raise ValueError("negative power")
+    out = Polynomial.constant(1, p.nvars, p.domain)
+    while n:
+        if n & 1:
+            out = out * p
+        n >>= 1
+        if n:
+            p = p * p
+    return out
+
+
+def evaluate(p: Polynomial, point):
+    """p at a point, in the arithmetic of its coordinates (an F_p value
+    comes back unreduced)."""
+    if len(point) != p.nvars:
+        raise DimensionError("point length mismatch")
+    total = None
+    for m, c in p.terms.items():
+        v = c
+        for x, e in zip(point, m):
+            for _ in range(e):
+                v = v * x
+        total = v if total is None else total + v
+    return 0 if total is None else total
+
+
+def ambient_nvars(cfg) -> int:
+    """N + 1 = |u|: the number of ambient coordinates of a multi-parameter
+    configuration."""
+    return sum(len(gi) for gi in cfg.groups)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

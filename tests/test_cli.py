@@ -190,3 +190,85 @@ def test_coefficient_with_denominator_divisible_by_prime(tmp_path):
     assert out.returncode == 1
     assert out.stderr.startswith("error: ValueError")
     assert "1/30011" in out.stderr and "Traceback" not in out.stderr
+
+
+# ---------------------------------------------------------------------------
+# every configuration kind, and results that do not depend on the prime
+# ---------------------------------------------------------------------------
+
+def run_subprocess(*args):
+    out = subprocess.run([sys.executable, "-m", "distvar.cli", *args],
+                         capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in out.stderr
+    return out
+
+
+def test_cayley_takes_a_distortion_vector():
+    from distvar.geometry import MultiParamConfig, cayley_parametrization
+    from distvar.models import U_BOTH
+    out = run_subprocess("cayley", "--model", "F", "--config", "u_both",
+                         "--json")
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    cfg = MultiParamConfig.from_distortion_vector(U_BOTH)
+    assert data["r"] == 1
+    assert data["exponent_matrix"] == cayley_parametrization(cfg)
+
+
+def test_distort_takes_a_multi_parameter_config():
+    from distvar.geometry import multi_distortion_generators
+    from distvar.models import ModelId, model_config, model_ideal
+    out = run_subprocess("distort", "--model", "F", "--config", "two_param",
+                         "--json")
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    J = multi_distortion_generators(
+        model_ideal(ModelId.F), model_config(ModelId.F, "two_param"),
+        "eliminate")
+    assert data["r"] == 2
+    assert data["n_generators"] == len(J.generators)
+
+
+def test_degree_takes_a_multi_parameter_config():
+    # (dim, degree) of F's two-parameter distortion variety, as in the
+    # acceptance test of the two routes
+    out = run_subprocess("degree", "--model", "F", "--config", "two_param",
+                         "--json")
+    assert out.returncode == 0, out.stderr
+    data = json.loads(out.stdout)
+    assert (data["dimension"], data["degree"]) == (9, 24)
+
+
+def test_degree_bound_rejects_a_multi_parameter_config():
+    out = run_subprocess("degree", "--model", "F", "--config", "two_param",
+                         "--bound")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ComputationError")
+
+
+@pytest.mark.parametrize("argv", [
+    ["degree", "--model", "E", "--config", "u_both"],
+    ["model", "--model", "E"],
+])
+def test_prime_that_changes_the_model_is_rejected(argv):
+    # mod 2 the Demazure cubics lose their 2 x x^T x term, so E becomes
+    # another variety: degree 32 in place of 52, (6, 6) in place of (5, 10)
+    out = run_subprocess(*argv, "--prime", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ValueError")
+
+
+def test_prime_that_changes_a_file_ideal_is_rejected(tmp_path):
+    path = tmp_path / "ideal.txt"
+    path.write_text("2*x0^2 - x1*x2\n")
+    out = run_subprocess("degree", "--ideal", str(path), "--u", "0,1,1",
+                         "--prime", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ValueError")
+
+
+def test_small_prime_that_keeps_the_model_gives_the_same_degree():
+    out = run_subprocess("degree", "--model", "E", "--config", "u_both",
+                         "--prime", "3", "--json")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["degree"] == 52
